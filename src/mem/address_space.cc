@@ -1,6 +1,9 @@
 #include "mem/address_space.h"
 
 #include <algorithm>
+#include <cstring>
+
+#include "common/crc32.h"
 
 namespace ordma::mem {
 
@@ -114,6 +117,65 @@ void AddressSpace::unpin_range(Vaddr va, Bytes len) {
   const Vpn first = page_of(va);
   const Vpn last = page_of(va + len - 1);
   for (Vpn v = first; v <= last; ++v) unpin(v);
+}
+
+namespace {
+
+// A zero page stands in for frames never written (they read as zeroes).
+constexpr std::byte kZeroPage[kPageSize] = {};
+
+// The bytes from `va` to the end of its page, for reading. Untouched
+// frames read as the zero page and stay unbacked.
+Result<std::span<const std::byte>> read_span(const AddressSpace& as,
+                                             Vaddr va) {
+  auto pa = as.translate(va, /*for_write=*/false);
+  if (!pa.ok()) return pa.status();
+  const std::uint64_t off = page_offset(pa.value());
+  const std::byte* frame = as.phys().frame_if_touched(frame_of(pa.value()));
+  return std::span<const std::byte>((frame ? frame : kZeroPage) + off,
+                                    kPageSize - off);
+}
+
+}  // namespace
+
+Status copy(const AddressSpace& src, Vaddr src_va, AddressSpace& dst,
+            Vaddr dst_va, Bytes len) {
+  std::span<const std::byte> from;
+  std::span<std::byte> to;
+  while (len > 0) {
+    if (from.empty()) {
+      auto s = read_span(src, src_va);
+      if (!s.ok()) return s.status();
+      from = s.value();
+    }
+    if (to.empty()) {
+      auto pa = dst.translate(dst_va, /*for_write=*/true);
+      if (!pa.ok()) return pa.status();
+      to = dst.phys().frame_data(frame_of(pa.value()))
+               .subspan(page_offset(pa.value()));
+    }
+    const Bytes n = std::min<Bytes>({len, from.size(), to.size()});
+    std::memcpy(to.data(), from.data(), n);
+    from = from.subspan(n);
+    to = to.subspan(n);
+    src_va += n;
+    dst_va += n;
+    len -= n;
+  }
+  return Status::Ok();
+}
+
+Result<std::uint32_t> checksum(const AddressSpace& as, Vaddr va, Bytes len,
+                               std::uint32_t state) {
+  while (len > 0) {
+    auto s = read_span(as, va);
+    if (!s.ok()) return s.status();
+    const auto chunk = s.value().first(std::min<Bytes>(len, s.value().size()));
+    state = crc32_update(state, chunk);
+    va += chunk.size();
+    len -= chunk.size();
+  }
+  return state;
 }
 
 }  // namespace ordma::mem

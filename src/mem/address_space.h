@@ -102,11 +102,31 @@ class AddressSpace {
 
   std::size_t mapped_pages() const { return table_.size(); }
   PhysicalMemory& phys() { return phys_; }
+  const PhysicalMemory& phys() const { return phys_; }
 
  private:
   PhysicalMemory& phys_;
   std::unordered_map<Vpn, PageEntry> table_;
 };
+
+// --- moving and checksumming bytes in place ---------------------------------
+// The one way to move bytes between address spaces (or within one) and to
+// checksum bytes where they lie. Both walk the page tables directly — one
+// translation per page on each side — and use no intermediate buffer, so a
+// data path built on them never allocates. Failure matches
+// AddressSpace::read/write: an unmapped source page, or an unmapped or
+// write-protected destination page, fails with access_fault, and the bytes
+// before that page have already moved.
+
+// Copy `len` bytes from `src` at `src_va` to `dst` at `dst_va`. The two
+// ranges must not overlap in physical memory.
+Status copy(const AddressSpace& src, Vaddr src_va, AddressSpace& dst,
+            Vaddr dst_va, Bytes len);
+
+// Advance the CRC-32 register `state` (common/crc32.h) over `len` bytes at
+// `va`: the value crc32_update gives over what AddressSpace::read returns.
+Result<std::uint32_t> checksum(const AddressSpace& as, Vaddr va, Bytes len,
+                               std::uint32_t state);
 
 // A registered memory region: the product of "registering and pinning
 // user-level buffers" (§3). RAII: deregistration unpins.

@@ -56,4 +56,10 @@ std::span<const std::byte> PhysicalMemory::frame_data(Pfn f) const {
   return {frame.data(), frame.size()};
 }
 
+const std::byte* PhysicalMemory::frame_if_touched(Pfn f) const {
+  ORDMA_CHECK_MSG(f < num_frames_, "physical frame out of range");
+  auto it = frames_.find(f);
+  return it == frames_.end() ? nullptr : it->second->data();
+}
+
 }  // namespace ordma::mem

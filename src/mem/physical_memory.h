@@ -51,6 +51,9 @@ class PhysicalMemory {
   // Direct frame access for page-sized operations (DMA fast path).
   std::span<std::byte> frame_data(Pfn f);
   std::span<const std::byte> frame_data(Pfn f) const;
+  // A frame's bytes if it was ever written, else nullptr (it reads as
+  // zeroes); never backs the frame with host RAM.
+  const std::byte* frame_if_touched(Pfn f) const;
 
   // Number of frames actually backed by host RAM (observability).
   std::size_t frames_touched() const { return frames_.size(); }

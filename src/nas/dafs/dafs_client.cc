@@ -429,11 +429,9 @@ sim::Task<Result<Bytes>> DafsClient::pread_op(std::uint64_t fh, Bytes off,
       co_return last;
     }
     const Bytes n = res.value().n;
-    std::vector<std::byte> landed(n);
-    if (n > 0 && !host_.user_as().read(user_va, landed).ok()) {
-      co_return Errc::access_fault;
-    }
-    if (data_checksum(landed) == res.value().data_cksum) co_return n;
+    const auto landed = data_checksum(host_.user_as(), user_va, n);
+    if (!landed.ok()) co_return Errc::access_fault;
+    if (landed.value() == res.value().data_cksum) co_return n;
     ++integrity_retries_;
     note_retry();
     obs::note_op_retry(op);

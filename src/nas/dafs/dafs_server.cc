@@ -202,7 +202,8 @@ sim::Task<void> DafsServer::do_read(msg::ViConnection& conn,
           : std::min<Bytes>(len, attr.value().size - off);
 
   // Walk the covered cache blocks: collect data and (in ODAFS mode) refs.
-  std::vector<std::byte> data(n);
+  net::Buffer data = net::Buffer::alloc(n);
+  const std::span<std::byte> fill = data.mutable_view();
   rpc::XdrEncoder refs;
   std::uint32_t ref_count = 0;
   const Bytes bs = fs_.block_size();
@@ -229,8 +230,7 @@ sim::Task<void> DafsServer::do_read(msg::ViConnection& conn,
       se.holders.insert(conn_id);
     }
     ORDMA_CHECK(host_.kernel_as()
-                    .read(blk.value()->va + boff,
-                          std::span<std::byte>(data.data() + done, chunk))
+                    .read(blk.value()->va + boff, fill.subspan(done, chunk))
                     .ok());
     if (cfg_.piggyback_refs) {
       const auto before = refs.size();
@@ -244,12 +244,11 @@ sim::Task<void> DafsServer::do_read(msg::ViConnection& conn,
   out.u32(static_cast<std::uint32_t>(n));
   // Direct reads deliver the data by unacked RDMA write; the checksum lets
   // the client verify the bytes actually landed (and retry if not).
-  out.u32(data_checksum(data));
+  out.u32(data_checksum(data.view()));
   out.u32(cfg_.coherence && cfg_.piggyback_refs
               ? (ref_count | kVersionedRefsBit)
               : ref_count);
-  const auto ref_bytes = refs.take();
-  out.raw(ref_bytes);
+  out.raw(refs.view());
 
   if (direct) {
     if (n > 0) {
@@ -257,13 +256,13 @@ sim::Task<void> DafsServer::do_read(msg::ViConnection& conn,
       // write reaches the client after the data does, so the server does
       // not wait for the remote ack (the paper's direct read costs 144 us,
       // not an extra round trip).
-      auto st = co_await host_.nic().gm_put(
-          conn.peer_node(), client_va, net::Buffer::take(std::move(data)),
-          client_cap, /*wait_ack=*/false, trace_op);
+      auto st = co_await host_.nic().gm_put(conn.peer_node(), client_va,
+                                            std::move(data), client_cap,
+                                            /*wait_ack=*/false, trace_op);
       ORDMA_CHECK(st.ok());
     }
   } else {
-    out.raw(data);
+    out.raw(data.view());
   }
 }
 
@@ -345,19 +344,19 @@ sim::Task<void> DafsServer::do_read_batch(msg::ViConnection& conn,
   std::vector<std::uint32_t> ns;
   ns.reserve(count);
   for (const auto& e : entries) {
-    std::vector<std::byte> data(e.len);
     Bytes n = 0;
+    net::Buffer data;
     auto attr = fs_.getattr(e.ino);
     if (attr.ok() && e.off < attr.value().size) {
       n = std::min<Bytes>(e.len, attr.value().size - e.off);
-      auto r = co_await fs_.read(e.ino, e.off, {data.data(), n}, trace_op);
+      data = net::Buffer::alloc(n);
+      auto r = co_await fs_.read(e.ino, e.off, data.mutable_view(), trace_op);
       if (!r.ok()) n = 0;
     }
-    data.resize(n);
     if (n > 0) {
-      auto st = co_await host_.nic().gm_put(
-          conn.peer_node(), e.va, net::Buffer::take(std::move(data)), e.cap,
-          /*wait_ack=*/true, trace_op);
+      auto st = co_await host_.nic().gm_put(conn.peer_node(), e.va,
+                                            std::move(data), e.cap,
+                                            /*wait_ack=*/true, trace_op);
       if (!st.ok()) n = 0;
     }
     ns.push_back(static_cast<std::uint32_t>(n));
@@ -448,9 +447,10 @@ sim::Task<std::uint64_t> DafsServer::commit_block(fs::Ino ino,
   if (observer_) {
     if (const auto* blk = fs_.cache().peek(key);
         blk != nullptr && blk->valid && blk->valid_len > 0) {
-      std::vector<std::byte> bytes(blk->valid_len);
-      ORDMA_CHECK(host_.kernel_as().read(blk->va, bytes).ok());
-      cksum = data_checksum(bytes);
+      const auto sum =
+          data_checksum(host_.kernel_as(), blk->va, blk->valid_len);
+      ORDMA_CHECK(sum.ok());
+      cksum = sum.value();
     }
   }
   // Snapshot the holders (sorted: deterministic delivery order) and

@@ -346,11 +346,9 @@ sim::Task<Result<Bytes>> NfsHybridClient::read_chunk(std::uint64_t ino,
     const Bytes n = dec.u32();
     const std::uint32_t want = dec.u32();
     if (!dec.ok()) co_return Errc::io_error;
-    std::vector<std::byte> landed(n);
-    if (!host_.user_as().read(user_va, landed).ok()) {
-      co_return Errc::access_fault;
-    }
-    if (data_checksum(landed) == want) co_return n;
+    const auto landed = data_checksum(host_.user_as(), user_va, n);
+    if (!landed.ok()) co_return Errc::access_fault;
+    if (landed.value() == want) co_return n;
     ++integrity_retries_;
     note_retry();
     obs::note_op_retry(op);

@@ -1,7 +1,5 @@
 #include "nas/nfs/nfs_server.h"
 
-#include <vector>
-
 #include "nas/wire_util.h"
 
 namespace ordma::nas::nfs {
@@ -73,15 +71,14 @@ sim::Task<rpc::RpcServerReply> NfsServer::do_read(
   const Bytes len = dec.u32();
 
   rpc::RpcServerReply r;
-  std::vector<std::byte> data(len);
-  auto n = co_await fs_.read(ino, off, data, ctx.trace_op);
+  net::Buffer data = net::Buffer::alloc(len);
+  auto n = co_await fs_.read(ino, off, data.mutable_view(), ctx.trace_op);
   if (!n.ok()) {
     r.status = err_u32(n.code());
     co_return r;
   }
-  data.resize(n.value());
   r.results.u32(static_cast<std::uint32_t>(n.value()));
-  r.bulk = net::Buffer::take(std::move(data));
+  r.bulk = data.slice(0, n.value());
   r.gather_send = true;  // NIC gathers from cache pages; no host copy
   co_return r;
 }
@@ -98,22 +95,22 @@ sim::Task<rpc::RpcServerReply> NfsServer::do_read_hybrid(
   const crypto::Capability cap = decode_cap(dec);
 
   rpc::RpcServerReply r;
-  std::vector<std::byte> data(len);
-  auto n = co_await fs_.read(ino, off, data, ctx.trace_op);
+  net::Buffer data = net::Buffer::alloc(len);
+  auto n = co_await fs_.read(ino, off, data.mutable_view(), ctx.trace_op);
   if (!n.ok()) {
     r.status = err_u32(n.code());
     co_return r;
   }
-  data.resize(n.value());
+  data = data.slice(0, n.value());
   // The RDMA write is unacked, so its loss is silent at this layer; the
   // client verifies the landed bytes against this checksum and retries.
-  const std::uint32_t cksum = data_checksum(data);
+  const std::uint32_t cksum = data_checksum(data.view());
   if (n.value() > 0) {
     // In-order reliable delivery: the RPC reply sent after the RDMA write
     // arrives behind the data, so the server does not wait for the ack.
-    auto st = co_await host_.nic().gm_put(
-        ctx.client, client_va, net::Buffer::take(std::move(data)), cap,
-        /*wait_ack=*/false, ctx.trace_op);
+    auto st = co_await host_.nic().gm_put(ctx.client, client_va,
+                                          std::move(data), cap,
+                                          /*wait_ack=*/false, ctx.trace_op);
     if (!st.ok()) {
       r.status = err_u32(st.code());
       co_return r;

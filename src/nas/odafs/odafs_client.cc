@@ -99,18 +99,26 @@ sim::Task<Result<cache::ClientCache::Header*>> OdafsClient::fetch_block(
   // RDMA target), so the in-flight check must come before the hit check —
   // otherwise a concurrent reader would consume bytes that have not
   // arrived yet.
-  if (auto it = inflight_.find(key); it != inflight_.end()) {
-    auto shared = it->second;
-    co_await shared->done.wait();
-    auto* again = cache_.find(key);
-    if (again && again->has_data()) co_return again;
-    co_return Errc::io_error;  // the fetch we joined failed
-  }
-  if (auto* hit = cache_.find(key); hit && hit->has_data()) {
+  for (;;) {
+    if (auto it = inflight_.find(key); it != inflight_.end()) {
+      auto shared = it->second;
+      co_await shared->done.wait();
+      auto* again = cache_.find(key);
+      if (again && again->has_data()) co_return again;
+      co_return Errc::io_error;  // the fetch we joined failed
+    }
+    auto* hit = cache_.find(key);
+    if (!(hit && hit->has_data())) break;
     host_.flight().record(host_.engine().now().ns,
                           obs::flight::Ev::cache_hit, fh, idx);
     co_await host_.cpu_consume(cm.cache_hit_proc, op, "io/cache_hit");
-    co_return hit;
+    // An invalidation (or a steal) may have dropped the data during the
+    // await. Look again rather than pin across it — the invalidation
+    // handler skips pinned blocks, which would keep a stale copy — and
+    // fetch the block anew (or join a fill already under way) if it went.
+    if (auto* again = cache_.peek(key); again && again->has_data()) {
+      co_return again;
+    }
   }
   auto flight = std::make_shared<Inflight>(host_.engine());
   inflight_.emplace(key, flight);
@@ -240,11 +248,10 @@ sim::Task<Result<cache::ClientCache::Header*>> OdafsClient::fetch_block(
           }
           // The server's RDMA write into the cache slab is unacked: verify
           // the landed bytes before exposing the block to readers.
-          std::vector<std::byte> landed(res.value().n);
-          if (!landed.empty() && !host_.user_as().read(va, landed).ok()) {
-            co_return Errc::access_fault;
-          }
-          if (data_checksum(landed) != res.value().data_cksum) {
+          const auto landed =
+              data_checksum(host_.user_as(), va, res.value().n);
+          if (!landed.ok()) co_return Errc::access_fault;
+          if (landed.value() != res.value().data_cksum) {
             ++integrity_retries_;
             note_retry();
             obs::note_op_retry(op);
@@ -395,13 +402,13 @@ sim::Task<Result<Bytes>> OdafsClient::pread_op(std::uint64_t fh, Bytes off,
     if (boff >= h.valid) break;  // EOF inside this block
     const Bytes avail = std::min<Bytes>(chunk, h.valid - boff);
 
-    // Cache block → user buffer copy.
-    std::vector<std::byte> tmp(avail);
-    ORDMA_CHECK(host_.user_as()
-                    .read(cache_.block_va(h) + boff, tmp)
-                    .ok());
+    // Cache block → user buffer copy. The bytes move before the copy's CPU
+    // time is charged: the block may be dropped or refilled during it.
+    const Status copied =
+        mem::copy(host_.user_as(), cache_.block_va(h) + boff, host_.user_as(),
+                  user_va + done, avail);
     co_await host_.copy(avail, op);
-    if (!host_.user_as().write(user_va + done, tmp).ok()) {
+    if (!copied.ok()) {
       co_await drain_guard.drain();
       co_return Errc::access_fault;
     }

@@ -5,6 +5,7 @@
 #include "cache/client_cache.h"
 #include "crypto/capability.h"
 #include "fs/server_fs.h"
+#include "mem/address_space.h"
 #include "rpc/xdr.h"
 
 namespace ordma::nas {
@@ -69,6 +70,13 @@ inline cache::RemoteRef decode_ref(rpc::XdrDecoder& dec) {
 // the client checksums the landed bytes, instead of as silent corruption.
 inline std::uint32_t data_checksum(std::span<const std::byte> data) {
   return rpc::checksum32(data);
+}
+
+// The same checksum over `len` bytes where they landed in simulated memory,
+// walked in place (mem::checksum) rather than read out first.
+inline Result<std::uint32_t> data_checksum(const mem::AddressSpace& as,
+                                           mem::Vaddr va, Bytes len) {
+  return mem::checksum(as, va, len, rpc::kChecksumSeed);
 }
 
 // --- ORDMA write-path messages (kPutCommit / kInvalidate) -------------------

@@ -116,6 +116,12 @@ class Buffer {
   std::size_t size() const { return len_; }
   bool empty() const { return len_ == 0; }
 
+  // Return the byte capacity of this thread's idle pooled reps to the
+  // allocator; the reps stay pooled. A finished simulation calls this
+  // (core::Cluster's teardown) so the capacity its buffers grew to is not
+  // left scattered through the heap the next simulation allocates from.
+  static void release_pool_capacity() { Pool::instance().release_capacity(); }
+
  private:
   struct Rep {
     std::vector<std::byte> bytes;
@@ -162,6 +168,11 @@ class Buffer {
       r->next_free = free_;
       free_ = r;
       ++free_count_;
+    }
+    void release_capacity() {
+      for (Rep* r = free_; r != nullptr; r = r->next_free) {
+        r->bytes = std::vector<std::byte>();
+      }
     }
 
    private:

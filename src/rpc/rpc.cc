@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <array>
-#include <vector>
 
+#include "mem/address_space.h"
 #include "obs/sampler.h"
 
 namespace ordma::rpc {
@@ -51,10 +51,12 @@ bool RpcClient::reply_checksum_ok(const RpcReplyInfo& info,
   if (info.rddp_placed && info.rddp_data_len > 0 && prepost && prepost->as) {
     // Bulk was header-split into the pre-posted buffer; continue the
     // checksum over the bytes that actually landed there.
-    std::vector<std::byte> placed(
-        std::min<Bytes>(info.rddp_data_len, prepost->len));
-    if (!prepost->as->read(prepost->va, placed).ok()) return false;
-    ck = checksum32(placed, ck);
+    auto placed = mem::checksum(*prepost->as, prepost->va,
+                                std::min<Bytes>(info.rddp_data_len,
+                                                prepost->len),
+                                ck);
+    if (!placed.ok()) return false;
+    ck = placed.value();
   }
   return ck == want;
 }
@@ -293,9 +295,8 @@ sim::Task<void> RpcServer::serve_one(msg::UdpDatagram d) {
   enc.u32(reply.status);
   enc.u32(trace);  // echo the caller's trace context
   enc.u32(0);      // cksum, stamped by seal_message
-  const auto results_bytes = reply.results.take();
-  enc.raw(results_bytes);
-  const Bytes data_offset = kRpcHeaderBytes + results_bytes.size();
+  enc.raw(reply.results.view());
+  const Bytes data_offset = kRpcHeaderBytes + reply.results.size();
   const Bytes data_len = reply.bulk.size();
   enc.raw(reply.bulk.view());
   net::Buffer wire = seal_message(enc);

@@ -11,7 +11,7 @@
 // The trace word carries the issuing file operation's trace-context id
 // (obs/trace.h; 0 = untraced) so server-side work lands in the caller's
 // span tree. Op ids are sequential from 1 and fit u32 at simulation scales.
-// The cksum word is an end-to-end FNV-1a over the whole message with the
+// The cksum word is an end-to-end CRC-32 over the whole message with the
 // cksum field itself skipped — for replies whose bulk was RDDP-placed, the
 // client continues the checksum over the landed bytes — catching corruption
 // that escapes the link-level CRC. A failed check is treated as a lost

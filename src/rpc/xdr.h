@@ -18,16 +18,19 @@
 
 namespace ordma::rpc {
 
-// End-to-end payload checksum (CRC-32, slicing-by-8 — common/crc32.h).
+// End-to-end payload checksum (CRC-32 — common/crc32.h).
 // Chainable at *any* split point: pass the previous return value as
 // `state` to checksum discontiguous regions as one stream (e.g. an RPC
 // header + results + RDDP-placed data), and the result is identical
 // however the stream is chunked — sealer and verifier walk the same bytes
 // in different pieces (pinned by tests/wire_fuzz_test.cc). Simulated
 // NICs/links model CRC at the frame level; this is the end-to-end check
-// that catches corruption escaping the link CRC.
+// that catches corruption escaping the link CRC. Bytes in simulated
+// memory are checksummed in place with mem::checksum from the same seed.
+inline constexpr std::uint32_t kChecksumSeed = 0x811c9dc5u;
+
 inline std::uint32_t checksum32(std::span<const std::byte> data,
-                                std::uint32_t state = 0x811c9dc5u) {
+                                std::uint32_t state = kChecksumSeed) {
   return crc32_update(state, data);
 }
 
@@ -75,6 +78,9 @@ class XdrEncoder {
   }
 
   std::size_t size() const { return bld_.bytes().size(); }
+  // The bytes encoded so far, for splicing into another message; the
+  // storage stays pooled when this encoder dies.
+  std::span<const std::byte> view() const { return bld_.bytes(); }
   net::Buffer finish() { return bld_.finish(); }
   std::vector<std::byte> take() { return bld_.take(); }
 

@@ -248,7 +248,11 @@ void run_sharing_oracle(const RunConfig& rc) {
           auto n = co_await cl.pread(fh, b * kBlock, buf, kBlock);
           const std::uint64_t t1 = c.engine().now().ns;
           if (!rc.faults) EXPECT_TRUE(n.ok());
-          if (!n.ok() || n.value() != kBlock) continue;
+          if (!n.ok()) continue;
+          // The file never shrinks: an ok read returns every byte asked.
+          EXPECT_EQ(n.value(), kBlock)
+              << "client " << ci << " short read of block " << b;
+          if (n.value() != kBlock) continue;
           std::vector<std::byte> got(kBlock);
           ORDMA_CHECK(h.user_as().read(buf, got).ok());
           const std::uint64_t id = decode_id(got);
@@ -384,6 +388,99 @@ TEST(SharingOracle, SingleClientPutThroughIsSequential) {
   // latest commit (its own writes), the strictest form of the oracle.
   run_sharing_oracle(
       {.seed = 9, .policies = {odafs::WritePolicy::put_through}});
+}
+
+TEST(SharingOracle, MultiBlockReadRefetchesBlockDroppedDuringHit) {
+  // A cache hit charges its CPU time before the bytes are copied out, and
+  // an invalidation whose pickup is queued ahead of that charge drops the
+  // block in between. The read must fetch the block again, not stop short
+  // mid-file. Client 0 reads the whole cached file while client 1 rewrites
+  // block kVictim. A CPU hog starts on client 0 the instant it looks up the
+  // block before kVictim, so client 0's next copy waits behind the hog and
+  // the invalidation's pickup queues between that copy and the hit on
+  // kVictim.
+  constexpr std::uint64_t kVictim = 3;
+  constexpr std::uint64_t kNewId = 7777;
+  ClusterConfig cc;
+  cc.num_clients = 2;
+  cc.fs.block_size = kBlock;
+  Cluster c(cc);
+  c.start_dafs({.piggyback_refs = true,
+                .writable_refs = true,
+                .coherence = true});
+  drive(c, [&]() -> sim::Task<void> {
+    auto ino = c.server_fs().create(fs::ServerFs::kRootIno, "f",
+                                    fs::FileType::regular);
+    ORDMA_CHECK(ino.ok());
+    for (std::uint64_t b = 0; b < kBlocks; ++b) {
+      auto n = co_await c.server_fs().write(ino.value(), b * kBlock,
+                                            encode_block(1000 + b));
+      ORDMA_CHECK(n.ok());
+    }
+    ORDMA_CHECK((co_await c.server_fs().warm(ino.value())).ok());
+  });
+
+  auto reader_cfg = client_cfg(odafs::WritePolicy::put_through);
+  reader_cfg.read_ahead_window = 1;  // one block after another
+  auto reader = c.make_odafs_client(0, reader_cfg);
+  auto writer =
+      c.make_odafs_client(1, client_cfg(odafs::WritePolicy::rpc_through));
+  host::Host& rh = c.client(0);
+  host::Host& wh = c.client(1);
+  const mem::Vaddr rbuf = rh.map_new(rh.user_as(), kFileSize);
+  const mem::Vaddr wbuf = wh.map_new(wh.user_as(), kBlock);
+  ASSERT_TRUE(wh.user_as().write(wbuf, encode_block(kNewId)).ok());
+  std::uint64_t rfh = 0, wfh = 0;
+  drive(c, [&]() -> sim::Task<void> {
+    auto ro = co_await reader->open("f");
+    auto wo = co_await writer->open("f");
+    ORDMA_CHECK(ro.ok() && wo.ok());
+    rfh = ro.value().fh;
+    wfh = wo.value().fh;
+    // Warm the reader's cache; the server now counts it a holder of every
+    // block.
+    auto n = co_await reader->pread(rfh, 0, rbuf, kFileSize);
+    ORDMA_CHECK(n.ok() && n.value() == kFileSize);
+  });
+
+  Result<Bytes> got = Errc::io_error;
+  Result<Bytes> wrote = Errc::io_error;
+  const std::uint64_t hits0 = reader->block_cache().data_hits();
+  c.engine().spawn([](Cluster& c, odafs::OdafsClient& reader,
+                      odafs::OdafsClient& writer, std::uint64_t hits0,
+                      std::uint64_t wfh, mem::Vaddr wbuf,
+                      Result<Bytes>& wrote) -> sim::Task<void> {
+    // Poll (bounded) for the reader's lookup of the block before kVictim.
+    for (int i = 0; reader.block_cache().data_hits() < hits0 + kVictim;
+         ++i) {
+      if (i == 100000) co_return;  // never got there: `wrote` stays failed
+      co_await c.engine().delay(nsec(50));
+    }
+    c.engine().spawn([](host::Host& h) -> sim::Task<void> {
+      co_await h.cpu_consume(msec(1));
+    }(c.client(0)));
+    wrote = co_await writer.pwrite(wfh, kVictim * kBlock, wbuf, kBlock);
+  }(c, *reader, *writer, hits0, wfh, wbuf, wrote));
+  drive(c, [&]() -> sim::Task<void> {
+    got = co_await reader->pread(rfh, 0, rbuf, kFileSize);
+  });
+
+  ASSERT_TRUE(wrote.ok());
+  EXPECT_GE(reader->inval_drops(), 1u);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got.value(), kFileSize)
+      << "the read stopped at the block dropped during its hit";
+  for (std::uint64_t b = 0; b < kBlocks; ++b) {
+    std::vector<std::byte> bytes(kBlock);
+    ASSERT_TRUE(rh.user_as().read(rbuf + b * kBlock, bytes).ok());
+    const std::uint64_t id = decode_id(bytes);
+    EXPECT_EQ(bytes, encode_block(id)) << "block " << b << " torn";
+    if (b == kVictim) {
+      EXPECT_TRUE(id == 1000 + b || id == kNewId) << "block " << b;
+    } else {
+      EXPECT_EQ(id, 1000 + b) << "block " << b;
+    }
+  }
 }
 
 }  // namespace

@@ -2,9 +2,12 @@
 // pin/lock semantics, registrations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <span>
 #include <vector>
 
+#include "common/crc32.h"
 #include "mem/address_space.h"
 #include "mem/physical_memory.h"
 
@@ -170,6 +173,107 @@ TEST_F(AddressSpaceTest, PageHelpers) {
   EXPECT_EQ(page_of(kPageSize), 1u);
   EXPECT_EQ(page_offset(kPageSize + 17), 17u);
   EXPECT_EQ(frame_base(3), 3 * kPageSize);
+}
+
+// Two address spaces over one physical memory, each with six pages mapped
+// to scattered frames, as a host's kernel and user spaces are.
+class SpanOpsTest : public ::testing::Test {
+ protected:
+  static constexpr Vpn kPages = 6;
+
+  SpanOpsTest() {
+    for (Vpn v = 0; v < kPages; ++v) {
+      src_.map(v, 3 * v + 1);
+      dst_.map(v, 3 * v + 2);
+    }
+    std::vector<std::byte> fill(kPages * kPageSize);
+    for (std::size_t i = 0; i < fill.size(); ++i) {
+      fill[i] = static_cast<std::byte>((i * 131 + 7) >> 3);
+    }
+    // Leave the last source page untouched: it must read as zeroes.
+    EXPECT_TRUE(src_.write(0, std::span(fill).first(5 * kPageSize)).ok());
+  }
+
+  std::vector<std::byte> read(const AddressSpace& as, Vaddr va, Bytes n) {
+    std::vector<std::byte> out(n);
+    EXPECT_TRUE(as.read(va, out).ok());
+    return out;
+  }
+
+  PhysicalMemory pm_{64};
+  AddressSpace src_{pm_};
+  AddressSpace dst_{pm_};
+};
+
+TEST_F(SpanOpsTest, CopyMatchesReadThenWrite) {
+  // Aligned, unaligned on either side, across pages, into the untouched
+  // page, and zero length.
+  const struct {
+    Vaddr from, to;
+    Bytes len;
+  } cases[] = {{0, 0, kPageSize},
+               {17, 4000, 3 * kPageSize + 5},
+               {kPageSize - 1, 1, 2},
+               {4 * kPageSize + 100, 9, kPageSize + 300},
+               {5, 5 * kPageSize + 7, 0},
+               {0, 0, kPages * kPageSize}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(testing::Message() << c.from << " -> " << c.to << " x "
+                                    << c.len);
+    const auto before = read(dst_, 0, kPages * kPageSize);
+    ASSERT_TRUE(copy(src_, c.from, dst_, c.to, c.len).ok());
+    auto want = before;
+    const auto moved = read(src_, c.from, c.len);
+    std::copy(moved.begin(), moved.end(), want.begin() + c.to);
+    EXPECT_EQ(read(dst_, 0, kPages * kPageSize), want);
+  }
+}
+
+TEST_F(SpanOpsTest, CopyWithinOneSpace) {
+  ASSERT_TRUE(copy(src_, 10, src_, 3 * kPageSize + 1, kPageSize).ok());
+  EXPECT_EQ(read(src_, 3 * kPageSize + 1, kPageSize),
+            read(src_, 10, kPageSize));
+}
+
+TEST_F(SpanOpsTest, ChecksumMatchesReadThenCrc) {
+  for (const Vaddr va : {Vaddr{0}, Vaddr{1}, Vaddr{kPageSize - 3},
+                         Vaddr{2 * kPageSize + 77}}) {
+    for (const Bytes len : {Bytes{0}, Bytes{1}, Bytes{63}, Bytes{64},
+                            Bytes{kPageSize}, Bytes{3 * kPageSize + 11}}) {
+      if (va + len > kPages * kPageSize) continue;
+      const auto bytes = read(src_, va, len);
+      auto sum = checksum(src_, va, len, 0x811c9dc5u);
+      ASSERT_TRUE(sum.ok());
+      EXPECT_EQ(sum.value(), crc32_update(0x811c9dc5u, bytes))
+          << "va " << va << " len " << len;
+    }
+  }
+  // Over the untouched page, which stays unbacked.
+  const std::size_t touched = pm_.frames_touched();
+  auto sum = checksum(src_, 4 * kPageSize + 9, 2 * kPageSize - 9, 7);
+  ASSERT_TRUE(sum.ok());
+  EXPECT_EQ(sum.value(),
+            crc32_update(7, read(src_, 4 * kPageSize + 9, 2 * kPageSize - 9)));
+  EXPECT_EQ(pm_.frames_touched(), touched);
+  // Length 0 returns the register unchanged, even at an unmapped address.
+  EXPECT_EQ(checksum(src_, 100 * kPageSize, 0, 42).value(), 42u);
+}
+
+TEST_F(SpanOpsTest, FaultsLikeReadAndWrite) {
+  // Unmapped source page (the range runs off the mapped six).
+  const Vaddr tail = (kPages - 1) * kPageSize + 10;
+  std::vector<std::byte> out(kPageSize);
+  EXPECT_EQ(src_.read(tail, out).code(), Errc::access_fault);
+  EXPECT_EQ(copy(src_, tail, dst_, 0, kPageSize).code(), Errc::access_fault);
+  EXPECT_EQ(checksum(src_, tail, kPageSize, 0).code(), Errc::access_fault);
+  // Write-protected destination page.
+  dst_.protect(2, /*writable=*/false);
+  EXPECT_EQ(dst_.write(2 * kPageSize, out).code(), Errc::access_fault);
+  EXPECT_EQ(copy(src_, 0, dst_, 2 * kPageSize - 8, 16).code(),
+            Errc::access_fault);
+  // A write-protected source is still readable.
+  EXPECT_TRUE(copy(dst_, 2 * kPageSize, src_, 0, 16).ok());
+  EXPECT_TRUE(checksum(dst_, 2 * kPageSize, 16, 0).ok());
 }
 
 }  // namespace

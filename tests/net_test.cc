@@ -93,6 +93,21 @@ TEST(Buffer, PoolReuseReturnsZeroedBuffers) {
   }  // each b returns its Rep to the pool dirty
 }
 
+TEST(Buffer, ReleasingPoolCapacitySparesLiveBuffers) {
+  // Only idle reps lose their storage: a buffer still referenced keeps its
+  // bytes, and reps drawn after the release come back zeroed.
+  const auto data = pattern(KiB(64), 7);
+  Buffer live = Buffer::copy_of(data);
+  { Buffer idle = Buffer::copy_of(pattern(KiB(64), 8)); }
+  Buffer::release_pool_capacity();
+  EXPECT_TRUE(std::equal(live.view().begin(), live.view().end(),
+                         data.begin(), data.end()));
+  const Buffer fresh = Buffer::alloc(KiB(64));
+  for (const std::byte byte : fresh.view()) {
+    ASSERT_EQ(byte, std::byte{0});
+  }
+}
+
 TEST(Buffer, PoolChurnSurvivesManyLiveBuffers) {
   // Push well past any free-list watermark with interleaved lifetimes:
   // contents must stay intact and distinct per buffer.

@@ -345,14 +345,16 @@ TEST(WireFuzz, WritePathDecodersSurviveCorruptBytes) {
 TEST(WireFuzz, Checksum32ChainsAcrossRegions) {
   // checksum32(a ++ b) == checksum32(b, checksum32(a)) — the property the
   // RPC layer relies on to checksum header + results + RDDP-placed bulk
-  // data as one stream without concatenating them.
+  // data as one stream without concatenating them. Streams run from a few
+  // bytes to several KB and split anywhere, so either side of the split
+  // may take the folding kernel (64 bytes and up) or the table loop.
   Rng rng(0xcafeull);
-  for (int iter = 0; iter < 100; ++iter) {
-    std::vector<std::byte> a(rng.below(128)), b(rng.below(128));
-    for (auto& x : a) x = static_cast<std::byte>(rng.below(256));
-    for (auto& x : b) x = static_cast<std::byte>(rng.below(256));
-    std::vector<std::byte> ab = a;
-    ab.insert(ab.end(), b.begin(), b.end());
+  for (int iter = 0; iter < 400; ++iter) {
+    std::vector<std::byte> ab(rng.below(iter % 4 == 0 ? 5000 : 600));
+    for (auto& x : ab) x = static_cast<std::byte>(rng.below(256));
+    const std::size_t split = rng.below(ab.size() + 1);
+    const std::span<const std::byte> a(ab.data(), split);
+    const std::span<const std::byte> b(ab.data() + split, ab.size() - split);
     EXPECT_EQ(rpc::checksum32(ab), rpc::checksum32(b, rpc::checksum32(a)));
     // And the empty region is the identity under chaining.
     EXPECT_EQ(rpc::checksum32({}, rpc::checksum32(a)), rpc::checksum32(a));
