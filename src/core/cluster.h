@@ -151,133 +151,85 @@ class Cluster {
     return cl;
   }
 
-  // Register pull-gauges for every component's counters under
-  // "<host>/<component>/<stat>" paths. Sampled when the registry writes its
-  // snapshot (or when a timeseries sampler closes a window), so this costs
-  // nothing during the run itself. Monotone totals are registered as
-  // *cumulative* gauges so obs/timeseries.h differences them into
-  // per-window rates; instantaneous levels (queue depths) stay point
-  // samples.
+  // --- metrics export -------------------------------------------------------
+  // Every component's counters become pull-gauges under
+  // "<host>/<component>/<stat>" paths, one stats table (obs::Stat) per
+  // component type; adding a counter to metrics, timeseries and health is
+  // one row. Gauges are sampled when the registry writes its snapshot (or a
+  // timeseries sampler closes a window), so this costs nothing during the
+  // run. Rows are cumulative unless marked as levels (`false`).
   void export_metrics(obs::MetricsRegistry& reg) {
-    constexpr bool kCumulative = true;
-    auto host_gauges = [&reg](host::Host& h, nic::Nic& n) {
-      const std::string p = h.name();
-      reg.gauge(p + "/cpu/busy_us",
-                [&h] { return h.cpu().busy_time().ns / 1e3; }, kCumulative);
-      reg.gauge(p + "/nic/fw_busy_us",
-                [&n] { return n.fw_busy().ns / 1e3; }, kCumulative);
-      reg.gauge(p + "/nic/ordma_served",
-                [&n] { return static_cast<double>(n.ordma_served()); },
-                kCumulative);
-      reg.gauge(p + "/nic/ordma_faults",
-                [&n] { return static_cast<double>(n.ordma_faults()); },
-                kCumulative);
-      reg.gauge(p + "/nic/ordma_timeouts",
-                [&n] { return static_cast<double>(n.ordma_timeouts()); },
-                kCumulative);
-      reg.gauge(p + "/nic/rx_queue",
-                [&n] { return static_cast<double>(n.rx_backlog()); });
+    static constexpr obs::Stat<host::Host> kHost[] = {
+        {"cpu/busy_us", [](auto& h) { return h.cpu().busy_time().ns / 1e3; }},
+        {"nic/fw_busy_us", [](auto& h) { return h.nic().fw_busy().ns / 1e3; }},
+        {"nic/ordma_served", [](auto& h) { return h.nic().ordma_served(); }},
+        {"nic/ordma_faults", [](auto& h) { return h.nic().ordma_faults(); }},
+        {"nic/ordma_timeouts",
+         [](auto& h) { return h.nic().ordma_timeouts(); }},
+        {"nic/rx_queue", [](auto& h) { return h.nic().rx_backlog(); }, false},
     };
-    host_gauges(*server_host_, *server_nic_);
-    for (std::size_t i = 0; i < client_hosts_.size(); ++i) {
-      host_gauges(*client_hosts_[i], *client_nics_[i]);
+    static constexpr obs::Stat<fs::ServerFs> kServerFs[] = {
+        {"cache/hits", [](auto& f) { return f.cache().hits(); }},
+        {"cache/misses", [](auto& f) { return f.cache().misses(); }},
+        {"disk/reads", [](auto& f) { return f.disk().reads(); }},
+        {"disk/writes", [](auto& f) { return f.disk().writes(); }},
+    };
+    static constexpr obs::Stat<const rpc::RpcServer> kRpcServer[] = {
+        {"dup_replays", [](auto& r) { return r.dup_replays(); }},
+        {"dup_drops", [](auto& r) { return r.dup_drops(); }},
+        {"cksum_drops", [](auto& r) { return r.cksum_drops(); }},
+    };
+    static constexpr obs::Stat<nas::dafs::DafsServer> kDafsServer[] = {
+        {"put_commits", [](auto& d) { return d.put_commits(); }},
+        {"put_rejects", [](auto& d) { return d.put_rejects(); }},
+        {"invalidations_sent", [](auto& d) { return d.invalidations_sent(); }},
+        {"invalidation_giveups",
+         [](auto& d) { return d.invalidation_giveups(); }},
+        {"wb_syncs", [](auto& d) { return d.wb_syncs(); }},
+        {"dup_replays", [](auto& d) { return d.dup_replays(); }},
+        {"dup_drops", [](auto& d) { return d.dup_drops(); }},
+    };
+    static constexpr obs::Stat<nic::Nic> kServerNicPuts[] = {
+        {"puts_served", [](auto& n) { return n.puts_served(); }},
+        {"put_dups_dropped", [](auto& n) { return n.put_dups_dropped(); }},
+    };
+    static constexpr obs::Stat<fault::FaultInjector> kFaults[] = {
+        {"frames_dropped", [](auto& f) { return f.frames_dropped(); }},
+        {"frames_corrupted",
+         [](auto& f) {
+           return f.frames_corrupted() + f.frames_corrupt_dropped();
+         }},
+        {"frames_duplicated", [](auto& f) { return f.frames_duplicated(); }},
+        {"frames_delayed", [](auto& f) { return f.frames_delayed(); }},
+        {"doorbell_stalls", [](auto& f) { return f.doorbell_stalls(); }},
+        {"cap_revokes", [](auto& f) { return f.cap_revokes(); }},
+        {"tlb_invalidates", [](auto& f) { return f.tlb_invalidates(); }},
+        {"disk_errors", [](auto& f) { return f.disk_errors(); }},
+        {"put_revokes", [](auto& f) { return f.put_revokes(); }},
+    };
+    static constexpr obs::Stat<const net::Link> kLink[] = {
+        {"bytes", [](auto& l) { return l.bytes_delivered(); }},
+        {"backlog", [](auto& l) { return l.backlog(); }, false},
+    };
+
+    obs::export_stats(reg, "server/", *server_host_, kHost);
+    for (auto& h : client_hosts_) {
+      obs::export_stats(reg, h->name() + "/", *h, kHost);
     }
-    fs::ServerFs& sfs = *server_fs_;
-    reg.gauge("server/cache/hits", [&sfs] {
-      return static_cast<double>(sfs.cache().hits());
-    }, kCumulative);
-    reg.gauge("server/cache/misses", [&sfs] {
-      return static_cast<double>(sfs.cache().misses());
-    }, kCumulative);
-    reg.gauge("server/disk/reads", [&sfs] {
-      return static_cast<double>(sfs.disk().reads());
-    }, kCumulative);
-    reg.gauge("server/disk/writes", [&sfs] {
-      return static_cast<double>(sfs.disk().writes());
-    }, kCumulative);
+    obs::export_stats(reg, "server/", *server_fs_, kServerFs);
     if (nfs_server_) {
-      nas::nfs::NfsServer& srv = *nfs_server_;
-      reg.gauge("server/rpc/dup_replays", [&srv] {
-        return static_cast<double>(srv.rpc_server().dup_replays());
-      }, kCumulative);
-      reg.gauge("server/rpc/dup_drops", [&srv] {
-        return static_cast<double>(srv.rpc_server().dup_drops());
-      }, kCumulative);
-      reg.gauge("server/rpc/cksum_drops", [&srv] {
-        return static_cast<double>(srv.rpc_server().cksum_drops());
-      }, kCumulative);
+      obs::export_stats(reg, "server/rpc/", nfs_server_->rpc_server(),
+                        kRpcServer);
     }
     if (dafs_server_) {
-      nas::dafs::DafsServer& srv = *dafs_server_;
-      reg.gauge("server/dafs/put_commits", [&srv] {
-        return static_cast<double>(srv.put_commits());
-      }, kCumulative);
-      reg.gauge("server/dafs/put_rejects", [&srv] {
-        return static_cast<double>(srv.put_rejects());
-      }, kCumulative);
-      reg.gauge("server/dafs/invalidations_sent", [&srv] {
-        return static_cast<double>(srv.invalidations_sent());
-      }, kCumulative);
-      reg.gauge("server/dafs/invalidation_giveups", [&srv] {
-        return static_cast<double>(srv.invalidation_giveups());
-      }, kCumulative);
-      reg.gauge("server/dafs/wb_syncs", [&srv] {
-        return static_cast<double>(srv.wb_syncs());
-      }, kCumulative);
-      nic::Nic& snic = *server_nic_;
-      reg.gauge("server/nic/puts_served", [&snic] {
-        return static_cast<double>(snic.puts_served());
-      }, kCumulative);
-      reg.gauge("server/nic/put_dups_dropped", [&snic] {
-        return static_cast<double>(snic.put_dups_dropped());
-      }, kCumulative);
+      obs::export_stats(reg, "server/dafs/", *dafs_server_, kDafsServer);
+      obs::export_stats(reg, "server/nic/", *server_nic_, kServerNicPuts);
     }
-    if (injector_) {
-      fault::FaultInjector& inj = *injector_;
-      reg.gauge("fault/frames_dropped", [&inj] {
-        return static_cast<double>(inj.frames_dropped());
-      }, kCumulative);
-      reg.gauge("fault/frames_corrupted", [&inj] {
-        return static_cast<double>(inj.frames_corrupted() +
-                                   inj.frames_corrupt_dropped());
-      }, kCumulative);
-      reg.gauge("fault/frames_duplicated", [&inj] {
-        return static_cast<double>(inj.frames_duplicated());
-      }, kCumulative);
-      reg.gauge("fault/frames_delayed", [&inj] {
-        return static_cast<double>(inj.frames_delayed());
-      }, kCumulative);
-      reg.gauge("fault/doorbell_stalls", [&inj] {
-        return static_cast<double>(inj.doorbell_stalls());
-      }, kCumulative);
-      reg.gauge("fault/cap_revokes", [&inj] {
-        return static_cast<double>(inj.cap_revokes());
-      }, kCumulative);
-      reg.gauge("fault/tlb_invalidates", [&inj] {
-        return static_cast<double>(inj.tlb_invalidates());
-      }, kCumulative);
-      reg.gauge("fault/disk_errors", [&inj] {
-        return static_cast<double>(inj.disk_errors());
-      }, kCumulative);
-      reg.gauge("fault/put_revokes", [&inj] {
-        return static_cast<double>(inj.put_revokes());
-      }, kCumulative);
-    }
-    net::Fabric& fab = fabric_;
-    for (net::NodeId id = 0; id < fab.num_nodes(); ++id) {
+    if (injector_) obs::export_stats(reg, "fault/", *injector_, kFaults);
+    for (net::NodeId id = 0; id < fabric_.num_nodes(); ++id) {
       const std::string p = "net/" + std::to_string(id);
-      reg.gauge(p + "/up_bytes", [&fab, id] {
-        return static_cast<double>(fab.uplink(id).bytes_delivered());
-      }, kCumulative);
-      reg.gauge(p + "/down_bytes", [&fab, id] {
-        return static_cast<double>(fab.downlink(id).bytes_delivered());
-      }, kCumulative);
-      reg.gauge(p + "/up_backlog", [&fab, id] {
-        return static_cast<double>(fab.uplink(id).backlog());
-      });
-      reg.gauge(p + "/down_backlog", [&fab, id] {
-        return static_cast<double>(fab.downlink(id).backlog());
-      });
+      obs::export_stats(reg, p + "/up_", fabric_.uplink(id), kLink);
+      obs::export_stats(reg, p + "/down_", fabric_.downlink(id), kLink);
     }
   }
 
@@ -287,104 +239,82 @@ class Cluster {
   // engine's stock SLOs (obs/health.h) suffix-match on.
   void export_file_client_metrics(obs::MetricsRegistry& reg, unsigned i,
                                   const core::FileClient& cl) {
-    constexpr bool kCumulative = true;
-    const std::string p = client_hosts_.at(i)->name();
-    const core::FileClient::OpStats& st = cl.op_stats();
-    reg.gauge(p + "/io/ops",
-              [&st] { return static_cast<double>(st.ops); }, kCumulative);
-    reg.gauge(p + "/io/errors",
-              [&st] { return static_cast<double>(st.errors); }, kCumulative);
-    reg.gauge(p + "/io/retries",
-              [&st] { return static_cast<double>(st.retries); }, kCumulative);
-    reg.histogram_view(p + "/io/latency_us", &st.latency_us);
+    static constexpr obs::Stat<const core::FileClient::OpStats> kOps[] = {
+        {"ops", [](auto& s) { return s.ops; }},
+        {"errors", [](auto& s) { return s.errors; }},
+        {"retries", [](auto& s) { return s.retries; }},
+    };
     // Signal plane (obs/signals.h): the EWMA estimators the adaptive policy
     // (policy/policy.h) reads. Exported for every protocol so benches can
     // trace comparable signal blocks across arms; ORDMA-only series stay at
-    // their unprimed zero for protocols without an ORDMA path. Point
-    // samples, not deltas.
-    const obs::OpSignals& sig = cl.signals();
-    reg.gauge(p + "/signals/ref_hit_rate",
-              [&sig] { return sig.ref_hit_rate.value(); });
-    reg.gauge(p + "/signals/op_bytes",
-              [&sig] { return sig.op_bytes.value(); });
-    reg.gauge(p + "/signals/server_cpu",
-              [&sig] { return sig.server_cpu.value(); });
-    reg.gauge(p + "/signals/exception_rate",
-              [&sig] { return sig.exception_rate.value(); });
+    // their unprimed zero for protocols without an ORDMA path.
+    static constexpr obs::Stat<const obs::OpSignals> kSignals[] = {
+        {"ref_hit_rate", [](auto& s) { return s.ref_hit_rate.value(); }, false},
+        {"op_bytes", [](auto& s) { return s.op_bytes.value(); }, false},
+        {"server_cpu", [](auto& s) { return s.server_cpu.value(); }, false},
+        {"exception_rate", [](auto& s) { return s.exception_rate.value(); },
+         false},
+    };
+    const std::string p = client_hosts_.at(i)->name();
+    obs::export_stats(reg, p + "/io/", cl.op_stats(), kOps);
+    reg.histogram_view(p + "/io/latency_us", &cl.op_stats().latency_us);
+    obs::export_stats(reg, p + "/signals/", cl.signals(), kSignals);
   }
 
   // Per-ODAFS-client series. The client objects are built by the caller
   // (they live outside the cluster), so they are exported separately; the
   // reference-directory hit behaviour these expose — data hits vs RPC
-  // fallbacks — is the signal the ROADMAP item 4 policy engine keys on.
+  // fallbacks — is the signal the adaptive policy engine keys on.
   void export_odafs_client_metrics(obs::MetricsRegistry& reg, unsigned i,
                                    nas::odafs::OdafsClient& cl) {
-    constexpr bool kCumulative = true;
-    const std::string p = client_hosts_.at(i)->name();
-    reg.gauge(p + "/odafs/rpc_reads",
-              [&cl] { return static_cast<double>(cl.rpc_reads()); },
-              kCumulative);
-    reg.gauge(p + "/odafs/ordma_reads",
-              [&cl] { return static_cast<double>(cl.ordma_reads()); },
-              kCumulative);
-    reg.gauge(p + "/cache/data_hits", [&cl] {
-      return static_cast<double>(cl.block_cache().data_hits());
-    }, kCumulative);
-    reg.gauge(p + "/cache/data_misses", [&cl] {
-      return static_cast<double>(cl.block_cache().data_misses());
-    }, kCumulative);
-    reg.gauge(p + "/cache/refs_held", [&cl] {
-      return static_cast<double>(cl.block_cache().refs_held());
-    });
-    // Write path / coherence traffic.
-    reg.gauge(p + "/odafs/puts_issued",
-              [&cl] { return static_cast<double>(cl.puts_issued()); },
-              kCumulative);
-    reg.gauge(p + "/odafs/put_commits",
-              [&cl] { return static_cast<double>(cl.put_commits()); },
-              kCumulative);
-    reg.gauge(p + "/odafs/put_fallbacks",
-              [&cl] { return static_cast<double>(cl.put_fallbacks()); },
-              kCumulative);
-    reg.gauge(p + "/odafs/invalidates_rx",
-              [&cl] { return static_cast<double>(cl.invalidates_rx()); },
-              kCumulative);
-    reg.gauge(p + "/odafs/inval_drops",
-              [&cl] { return static_cast<double>(cl.inval_drops()); },
-              kCumulative);
-    reg.gauge(p + "/odafs/wb_flushes",
-              [&cl] { return static_cast<double>(cl.wb_flushes()); },
-              kCumulative);
+    static constexpr obs::Stat<nas::odafs::OdafsClient> kOdafs[] = {
+        {"odafs/rpc_reads", [](auto& c) { return c.rpc_reads(); }},
+        {"odafs/ordma_reads", [](auto& c) { return c.ordma_reads(); }},
+        {"cache/data_hits",
+         [](auto& c) { return c.block_cache().data_hits(); }},
+        {"cache/data_misses",
+         [](auto& c) { return c.block_cache().data_misses(); }},
+        {"cache/refs_held", [](auto& c) { return c.block_cache().refs_held(); },
+         false},
+        // Write path / coherence traffic.
+        {"odafs/puts_issued", [](auto& c) { return c.puts_issued(); }},
+        {"odafs/put_commits", [](auto& c) { return c.put_commits(); }},
+        {"odafs/put_fallbacks", [](auto& c) { return c.put_fallbacks(); }},
+        {"odafs/invalidates_rx", [](auto& c) { return c.invalidates_rx(); }},
+        {"odafs/inval_drops", [](auto& c) { return c.inval_drops(); }},
+        {"odafs/wb_flushes", [](auto& c) { return c.wb_flushes(); }},
+        {"odafs/ordma_faults", [](auto& c) { return c.ordma_faults(); }},
+        {"odafs/fetch_give_ups", [](auto& c) { return c.fetch_give_ups(); }},
+        {"odafs/integrity_retries",
+         [](auto& c) { return c.integrity_retries(); }},
+        {"odafs/put_rejects", [](auto& c) { return c.put_rejects(); }},
+        {"odafs/inval_refetches",
+         [](auto& c) { return c.inval_refetches(); }},
+        {"odafs/attr_ordma", [](auto& c) { return c.attr_ordma(); }},
+        {"dafs/retransmits", [](auto& c) { return c.dafs().retransmits(); }},
+        {"dafs/timeouts", [](auto& c) { return c.dafs().timeouts(); }},
+    };
     // Adaptive policy engine (policy/policy.h): decision/flip/exploration
-    // counters as cumulative series, plus the current read preference as a
-    // point gauge (1.0 = ORDMA, 0.0 = RPC) so a timeseries trace shows the
-    // mid-run mechanism flip as a step edge.
-    const policy::PolicyEngine& pol = cl.protocol_policy();
-    const policy::PolicyEngine::Counters& pn = pol.counters();
-    reg.gauge(p + "/policy/read_decisions",
-              [&pn] { return static_cast<double>(pn.read_decisions); },
-              kCumulative);
-    reg.gauge(p + "/policy/read_flips",
-              [&pn] { return static_cast<double>(pn.read_flips); },
-              kCumulative);
-    reg.gauge(p + "/policy/read_explored",
-              [&pn] { return static_cast<double>(pn.read_explored); },
-              kCumulative);
-    reg.gauge(p + "/policy/read_vetoes",
-              [&pn] { return static_cast<double>(pn.read_vetoes); },
-              kCumulative);
-    reg.gauge(p + "/policy/write_decisions",
-              [&pn] { return static_cast<double>(pn.write_decisions); },
-              kCumulative);
-    reg.gauge(p + "/policy/write_flips",
-              [&pn] { return static_cast<double>(pn.write_flips); },
-              kCumulative);
-    reg.gauge(p + "/policy/write_explored",
-              [&pn] { return static_cast<double>(pn.write_explored); },
-              kCumulative);
-    reg.gauge(p + "/policy/read_pref", [&pol] {
-      return pol.read_pref() == policy::ReadMech::ordma ? 1.0 : 0.0;
-    });
+    // counters, plus the current read preference as a level (1.0 = ORDMA,
+    // 0.0 = RPC) so a timeseries trace shows a mid-run mechanism flip as a
+    // step edge.
+    static constexpr obs::Stat<const policy::PolicyEngine> kPolicy[] = {
+        {"read_decisions",
+         [](auto& p) { return p.counters().read_decisions; }},
+        {"read_flips", [](auto& p) { return p.counters().read_flips; }},
+        {"read_explored", [](auto& p) { return p.counters().read_explored; }},
+        {"read_vetoes", [](auto& p) { return p.counters().read_vetoes; }},
+        {"write_decisions",
+         [](auto& p) { return p.counters().write_decisions; }},
+        {"write_flips", [](auto& p) { return p.counters().write_flips; }},
+        {"write_explored", [](auto& p) { return p.counters().write_explored; }},
+        {"read_pref",
+         [](auto& p) { return p.read_pref() == policy::ReadMech::ordma; },
+         false},
+    };
+    const std::string p = client_hosts_.at(i)->name();
+    obs::export_stats(reg, p + "/", cl, kOdafs);
+    obs::export_stats(reg, p + "/policy/", cl.protocol_policy(), kPolicy);
   }
 
   // --- experiment helpers ---------------------------------------------------

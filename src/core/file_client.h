@@ -36,7 +36,7 @@ class FileClient {
   struct OpStats {
     std::uint64_t ops = 0;      // completed file ops (any outcome)
     std::uint64_t errors = 0;   // ops that returned a failure Status
-    std::uint64_t retries = 0;  // protocol-level retries within ops
+    std::uint64_t retries = 0;  // re-issues within ops (recover/recover.h)
     LatencyHistogram latency_us;
   };
   const OpStats& op_stats() const { return stats_; }
@@ -80,15 +80,13 @@ class FileClient {
  protected:
   // Called by protocol op wrappers at op completion, after the op's trace
   // root (so the sampler has decided keep/drop and the exemplar resolves).
-  // Marks the op errored for the trace sampler *iff* !ok has not already
-  // been noted — callers that classify failures earlier (retry give-ups)
-  // call obs::note_op_error at the decision site instead.
+  // Retries and give-ups are recorded at their decision site by
+  // recover::bounded, which also marks the op for the trace sampler.
   void record_op(obs::OpId op, Duration d, bool ok) {
     ++stats_.ops;
     if (!ok) ++stats_.errors;
     stats_.latency_us.add(d, obs::exemplar_for(op));
   }
-  void note_retry() { ++stats_.retries; }
 
   // Fold a data op's size and a fresh server-CPU sample into the signal
   // block (call from pread/pwrite wrappers; `wall_us` = engine now in us).

@@ -4,6 +4,7 @@
 
 #include "nas/wire_util.h"
 #include "obs/sampler.h"
+#include "recover/recover.h"
 
 namespace ordma::nas::dafs {
 
@@ -73,50 +74,23 @@ sim::Task<Result<net::Buffer>> DafsClient::call(std::uint32_t proc,
   enc.raw(net::Buffer(args.finish()).view());
   const net::Buffer msg = enc.finish();
 
-  // Timeout 0 = wait forever (classic behavior on a lossless fabric).
   // Retransmits reuse req_id so the server's per-connection duplicate cache
   // suppresses re-execution and replays the cached reply.
-  const bool wait_forever = cfg_.retry.timeout.ns <= 0;
-  Duration timeout = cfg_.retry.timeout;
+  rpc::Retransmit rtx(cfg_.retry, host_, trk_rpc_, rtx_, req_id, trace_op);
   Result<net::Buffer> out = Errc::timed_out;
-  for (unsigned attempt = 1;; ++attempt) {
+  for (;;) {
     auto waiter = std::make_unique<Waiter>(host_.engine());
     auto* wp = waiter.get();
     waiting_[req_id] = std::move(waiter);  // fresh one-shot event per attempt
     co_await conn_->send(net::Buffer(msg), trace_op);
     const SimTime wait0 = host_.engine().now();
-    if (wait_forever) {
-      out = co_await wp->done.wait();
-      break;
-    }
-    auto got = co_await wp->done.wait_for(timeout);
+    auto got = co_await wp->done.wait_for(rtx.timeout());
     if (got) {
       out = std::move(*got);
       break;
     }
-    ++timeouts_;
-    host_.flight().record(host_.engine().now().ns,
-                          obs::flight::Ev::rpc_timeout, req_id, 0, attempt);
-    // Same contract as rpc.cc: the timed-out wait is retransmit/backoff
-    // dead air; the tail explainer charges it to `rpc_retransmit` (lowest
-    // priority above `other`, so live work inside the window keeps its
-    // real cause).
-    obs::span(trk_rpc_, trace_op, "io/rpc_retransmit", wait0,
-              host_.engine().now());
-    if (attempt >= cfg_.retry.max_attempts) {  // out = timed_out
-      host_.flight().record(host_.engine().now().ns,
-                            obs::flight::Ev::rpc_giveup, req_id, 0, attempt);
-      break;
-    }
-    ++retransmits_;
-    obs::note_op_retry(trace_op);
-    host_.flight().record(host_.engine().now().ns,
-                          obs::flight::Ev::rpc_retransmit, req_id, 0,
-                          attempt + 1);
-    timeout = Duration{std::min<std::int64_t>(
-        static_cast<std::int64_t>(static_cast<double>(timeout.ns) *
-                                  cfg_.retry.backoff),
-        cfg_.retry.max_timeout.ns)};
+    rtx.timed_out(wait0);
+    if (!rtx.next()) break;  // out = timed_out
   }
   waiting_.erase(req_id);
   co_return out;
@@ -370,74 +344,45 @@ sim::Task<Result<Bytes>> DafsClient::pread(std::uint64_t fh, Bytes off,
   co_return r;
 }
 
-namespace {
-// Failures worth a whole-operation re-issue (new req_id): a request that
-// gave up on retransmits, a transfer refused by a (spuriously) revoked
-// capability, or a transient media error.
-bool retryable(Errc e) {
-  return e == Errc::timed_out || e == Errc::revoked || e == Errc::io_error;
-}
-}  // namespace
-
 sim::Task<Result<Bytes>> DafsClient::pread_op(std::uint64_t fh, Bytes off,
                                               mem::Vaddr user_va, Bytes len,
                                               obs::OpId op) {
+  const recover::Site site{host_, stats_.retries, op};
   if (!cfg_.direct_reads) {
-    Status last = Status(Errc::io_error);
-    for (unsigned attempt = 1; attempt <= cfg_.max_io_attempts; ++attempt) {
-      auto res = co_await read_inline(fh, off, len, op);
-      if (!res.ok()) {
-        last = res.status();
-        if (retryable(last.code())) {
-          note_retry();
-          obs::note_op_retry(op);
-          continue;
-        }
-        co_return last;
-      }
-      // Copy from the communication buffer into the user buffer.
-      co_await host_.copy(res.value().n, op);
-      if (res.value().n > 0 &&
-          !host_.user_as()
-               .write(user_va, res.value().inline_data.view().subspan(
-                                   0, res.value().n))
-               .ok()) {
-        co_return Errc::access_fault;
-      }
-      co_return res.value().n;
-    }
-    co_return last;
+    co_return co_await recover::bounded(
+        cfg_.max_io_attempts, site, [&]() -> sim::Task<Result<Bytes>> {
+          auto res = co_await read_inline(fh, off, len, op);
+          if (!res.ok()) co_return res.status();
+          // Copy from the communication buffer into the user buffer.
+          const Bytes n = res.value().n;
+          co_await host_.copy(n, op);
+          if (n > 0 &&
+              !host_.user_as()
+                   .write(user_va, res.value().inline_data.view().subspan(0, n))
+                   .ok()) {
+            co_return Errc::access_fault;
+          }
+          co_return n;
+        });
   }
   auto reg = co_await ensure_registered(user_va, len, op);
   if (!reg.ok()) co_return reg.status();
   // Direct reads: the server's RDMA write is unacked, so a lost or corrupt
   // data frame is invisible at the transport level. Verify the landed bytes
-  // against the reply's checksum and re-issue the read (bounded) on
-  // mismatch; exhausted retries give up with io_error.
-  Status last = Status(Errc::io_error);
-  for (unsigned attempt = 1; attempt <= cfg_.max_io_attempts; ++attempt) {
-    auto res = co_await read_direct(fh, off, len,
-                                    reg.value()->nic_va(user_va),
-                                    reg.value()->cap, op);
-    if (!res.ok()) {
-      last = res.status();
-      if (retryable(last.code())) {
-        note_retry();
-        obs::note_op_retry(op);
-        continue;
-      }
-      co_return last;
-    }
-    const Bytes n = res.value().n;
-    const auto landed = data_checksum(host_.user_as(), user_va, n);
-    if (!landed.ok()) co_return Errc::access_fault;
-    if (landed.value() == res.value().data_cksum) co_return n;
-    ++integrity_retries_;
-    note_retry();
-    obs::note_op_retry(op);
-    last = Status(Errc::io_error);
-  }
-  co_return last;
+  // against the reply's checksum; a mismatch is a retryable io_error.
+  co_return co_await recover::bounded(
+      cfg_.max_io_attempts, site, [&]() -> sim::Task<Result<Bytes>> {
+        auto res = co_await read_direct(fh, off, len,
+                                        reg.value()->nic_va(user_va),
+                                        reg.value()->cap, op);
+        if (!res.ok()) co_return res.status();
+        const Bytes n = res.value().n;
+        const auto landed = data_checksum(host_.user_as(), user_va, n);
+        if (!landed.ok()) co_return Errc::access_fault;
+        if (landed.value() == res.value().data_cksum) co_return n;
+        ++integrity_retries_;
+        co_return Errc::io_error;
+      });
 }
 
 sim::Task<Result<Bytes>> DafsClient::pwrite(std::uint64_t fh, Bytes off,
@@ -458,28 +403,22 @@ sim::Task<Result<Bytes>> DafsClient::pwrite_op(std::uint64_t fh, Bytes off,
                                                obs::OpId op) {
   // Writes are idempotent (same data, same offset), so a whole-operation
   // re-issue after a timeout/revocation/transient error is safe.
-  Result<Bytes> last = Errc::io_error;
-  for (unsigned attempt = 1; attempt <= cfg_.max_io_attempts; ++attempt) {
-    if (!cfg_.direct_reads) {
-      std::vector<std::byte> data(len);
-      if (!host_.user_as().read(user_va, data).ok()) {
-        co_return Errc::access_fault;
-      }
-      last = co_await write_inline(fh, off, data, op);
-    } else {
-      auto reg = co_await ensure_registered(user_va, len, op);
-      if (!reg.ok()) co_return reg.status();
-      last = co_await write_direct(fh, off, len,
-                                   reg.value()->nic_va(user_va),
-                                   reg.value()->cap, op);
-    }
-    if (last.ok() || !retryable(last.code())) co_return last;
-    if (attempt < cfg_.max_io_attempts) {
-      note_retry();
-      obs::note_op_retry(op);
-    }
-  }
-  co_return last;
+  co_return co_await recover::bounded(
+      cfg_.max_io_attempts, recover::Site{host_, stats_.retries, op},
+      [&]() -> sim::Task<Result<Bytes>> {
+        if (!cfg_.direct_reads) {
+          std::vector<std::byte> data(len);
+          if (!host_.user_as().read(user_va, data).ok()) {
+            co_return Errc::access_fault;
+          }
+          co_return co_await write_inline(fh, off, data, op);
+        }
+        auto reg = co_await ensure_registered(user_va, len, op);
+        if (!reg.ok()) co_return reg.status();
+        co_return co_await write_direct(fh, off, len,
+                                        reg.value()->nic_va(user_va),
+                                        reg.value()->cap, op);
+      });
 }
 
 sim::Task<Result<fs::Attr>> DafsClient::getattr(std::uint64_t fh) {

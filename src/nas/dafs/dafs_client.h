@@ -35,9 +35,9 @@ struct DafsClientConfig {
   // classic lossless-fabric behavior). Retransmits reuse the req_id so the
   // server's duplicate cache can suppress re-execution.
   rpc::RpcRetryPolicy retry{};
-  // Upper bound on whole-operation re-issues (new req_id) when a direct
-  // read lands bytes failing checksum verification or a request gives up
-  // on timeout; exhausting it surfaces Errc::io_error / the last error.
+  // Attempts (at least one, each a new req_id) per read or write under
+  // retryable failures (recover/recover.h), then the last error surfaces.
+  // A retry counts a re-issue, never the first attempt.
   unsigned max_io_attempts = 4;
 };
 
@@ -162,8 +162,8 @@ class DafsClient : public core::FileClient {
   host::Host& host() { return host_; }
   std::uint64_t rpcs_issued() const { return next_req_id_ - 1; }
   // --- reliability counters ------------------------------------------------
-  std::uint64_t retransmits() const { return retransmits_; }
-  std::uint64_t timeouts() const { return timeouts_; }
+  std::uint64_t retransmits() const { return rtx_.retransmits; }
+  std::uint64_t timeouts() const { return rtx_.timeouts; }
   // Direct reads re-issued because the landed bytes failed verification.
   std::uint64_t integrity_retries() const { return integrity_retries_; }
   // Server cache block size, learned from the first open reply (0 before).
@@ -208,8 +208,7 @@ class DafsClient : public core::FileClient {
   };
   std::unordered_map<std::uint32_t, std::unique_ptr<Waiter>> waiting_;
 
-  std::uint64_t retransmits_ = 0;
-  std::uint64_t timeouts_ = 0;
+  rpc::RetransmitCounts rtx_;
   std::uint64_t integrity_retries_ = 0;
   std::uint64_t invalidates_rx_ = 0;
   InvalidateHandler on_invalidate_;

@@ -4,6 +4,7 @@
 
 #include "nas/wire_util.h"
 #include "obs/sampler.h"
+#include "recover/recover.h"
 
 namespace ordma::nas::nfs {
 
@@ -324,36 +325,36 @@ sim::Task<Result<Bytes>> NfsHybridClient::read_chunk(std::uint64_t ino,
 
   // The server's RDMA write is unacked: a dropped data frame leaves the RPC
   // reply intact but the user buffer stale. Verify the landed bytes against
-  // the reply's checksum and re-issue the whole read a bounded number of
-  // times before surfacing an I/O error.
+  // the reply's checksum; a mismatch is a retryable io_error.
   constexpr unsigned kReadAttempts = 4;
-  for (unsigned attempt = 1;; ++attempt) {
-    rpc::XdrEncoder args;
-    args.u64(ino);
-    args.u64(off);
-    args.u32(static_cast<std::uint32_t>(len));
-    args.u64(nic_va);
-    encode_cap(args, r.cap);
-    auto res = co_await rpc_.call(server_, kNfsPort, kReadHybrid,
-                                  args.finish(), nullptr, op);
-    if (!res.ok()) co_return res.status();
-    if (res.value().status != 0) {
-      co_return static_cast<Errc>(res.value().status);
-    }
+  co_return co_await recover::bounded(
+      kReadAttempts, recover::Site{host_, stats_.retries, op},
+      [&]() -> sim::Task<Result<Bytes>> {
+        rpc::XdrEncoder args;
+        args.u64(ino);
+        args.u64(off);
+        args.u32(static_cast<std::uint32_t>(len));
+        args.u64(nic_va);
+        encode_cap(args, r.cap);
+        auto res = co_await rpc_.call(server_, kNfsPort, kReadHybrid,
+                                      args.finish(), nullptr, op);
+        if (!res.ok()) co_return res.status();
+        if (res.value().status != 0) {
+          co_return static_cast<Errc>(res.value().status);
+        }
 
-    co_await host_.cpu_consume(cm.nfs_client_proc, op, "io/nfs_client_proc");
-    rpc::XdrDecoder dec(res.value().results);
-    const Bytes n = dec.u32();
-    const std::uint32_t want = dec.u32();
-    if (!dec.ok()) co_return Errc::io_error;
-    const auto landed = data_checksum(host_.user_as(), user_va, n);
-    if (!landed.ok()) co_return Errc::access_fault;
-    if (landed.value() == want) co_return n;
-    ++integrity_retries_;
-    note_retry();
-    obs::note_op_retry(op);
-    if (attempt >= kReadAttempts) co_return Errc::io_error;
-  }
+        co_await host_.cpu_consume(cm.nfs_client_proc, op,
+                                   "io/nfs_client_proc");
+        rpc::XdrDecoder dec(res.value().results);
+        const Bytes n = dec.u32();
+        const std::uint32_t want = dec.u32();
+        if (!dec.ok()) co_return Errc::io_error;
+        const auto landed = data_checksum(host_.user_as(), user_va, n);
+        if (!landed.ok()) co_return Errc::access_fault;
+        if (landed.value() == want) co_return n;
+        ++integrity_retries_;
+        co_return Errc::io_error;
+      });
 }
 
 }  // namespace ordma::nas::nfs

@@ -3,19 +3,11 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "obs/sampler.h"
-
 #include "nas/wire_util.h"
+#include "obs/sampler.h"
+#include "recover/recover.h"
 
 namespace ordma::nas::odafs {
-
-namespace {
-// Failures worth another ORDMA→RPC round: exhausted retransmits, a
-// (spuriously) revoked capability, or a transient media/integrity error.
-bool fetch_retryable(Errc e) {
-  return e == Errc::timed_out || e == Errc::revoked || e == Errc::io_error;
-}
-}  // namespace
 
 OdafsClient::OdafsClient(host::Host& host, net::NodeId server,
                          OdafsClientConfig cfg)
@@ -210,69 +202,41 @@ sim::Task<Result<cache::ClientCache::Header*>> OdafsClient::fetch_block(
       signals_.ref_hit_rate.update(0.0);
       const SimTime rt0 = host_.engine().now();
       dafs::DafsReadResult result;
-      Status last = Status(Errc::io_error);
-      for (unsigned attempt = 1;
-           !filled && attempt <= cfg_.max_fetch_attempts; ++attempt) {
-        if (cfg_.inline_rpc) {
-          auto res = co_await dafs_.read_inline(fh, block_off, want, op);
-          if (!res.ok()) {
-            last = res.status();
-            if (fetch_retryable(last.code())) {
-              note_retry();
-              obs::note_op_retry(op);
-              continue;
+      const Status fetched = co_await recover::bounded(
+          cfg_.max_fetch_attempts,
+          recover::Site{host_, stats_.retries, op, &fetch_give_ups_},
+          [&]() -> sim::Task<Status> {
+            if (cfg_.inline_rpc) {
+              auto res = co_await dafs_.read_inline(fh, block_off, want, op);
+              if (!res.ok()) co_return res.status();
+              result = std::move(res.value());
+              cache_.attach_data(hdr, result.n);
+              // In-line data must be copied from the communication buffer
+              // into the file cache (the Table 3 "in cache" copy).
+              co_await host_.copy(result.n, op);
+              cache_.write_block(
+                  hdr, result.inline_data.view().subspan(0, result.n));
+              co_return Status::Ok();
             }
-            co_return last;
-          }
-          result = std::move(res.value());
-          cache_.attach_data(hdr, result.n);
-          // In-line data must be copied from the communication buffer into
-          // the file cache (the Table 3 "in cache" copy).
-          co_await host_.copy(result.n, op);
-          cache_.write_block(hdr,
-                             result.inline_data.view().subspan(0, result.n));
-          filled = true;
-        } else {
-          const mem::Vaddr va = cache_.attach_data(hdr, want);
-          auto res = co_await dafs_.read_direct(fh, block_off, want,
-                                                slab_reg_->nic_va(va),
-                                                slab_reg_->cap, op);
-          if (!res.ok()) {
-            last = res.status();
-            if (fetch_retryable(last.code())) {
-              note_retry();
-              obs::note_op_retry(op);
-              continue;
+            const mem::Vaddr va = cache_.attach_data(hdr, want);
+            auto res = co_await dafs_.read_direct(fh, block_off, want,
+                                                  slab_reg_->nic_va(va),
+                                                  slab_reg_->cap, op);
+            if (!res.ok()) co_return res.status();
+            // The server's RDMA write into the cache slab is unacked: verify
+            // the landed bytes before exposing the block to readers.
+            const auto landed =
+                data_checksum(host_.user_as(), va, res.value().n);
+            if (!landed.ok()) co_return Status(Errc::access_fault);
+            if (landed.value() != res.value().data_cksum) {
+              ++integrity_retries_;
+              co_return Status(Errc::io_error);
             }
-            co_return last;
-          }
-          // The server's RDMA write into the cache slab is unacked: verify
-          // the landed bytes before exposing the block to readers.
-          const auto landed =
-              data_checksum(host_.user_as(), va, res.value().n);
-          if (!landed.ok()) co_return Errc::access_fault;
-          if (landed.value() != res.value().data_cksum) {
-            ++integrity_retries_;
-            note_retry();
-            obs::note_op_retry(op);
-            last = Status(Errc::io_error);
-            continue;
-          }
-          result = std::move(res.value());
-          hdr.valid = result.n;
-          filled = true;
-        }
-      }
-      if (!filled) {
-        ++fetch_give_ups_;
-        // Mark at the decision site: a give-up inside a spawned prefetch
-        // never propagates to the wrapper, but its op must still be
-        // retained by the trace sampler.
-        obs::note_op_error(op);
-        obs::flight::note_giveup(host_.flight(), host_.engine().now().ns, op,
-                                 static_cast<std::uint64_t>(last.code()));
-        co_return last;
-      }
+            result = std::move(res.value());
+            hdr.valid = result.n;
+            co_return Status::Ok();
+          });
+      if (!fetched.ok()) co_return fetched;
       if (policy_.enabled()) {
         policy_.observe_read(policy::ReadMech::rpc,
                              (host_.engine().now() - rt0).to_us(), false);
@@ -533,11 +497,7 @@ sim::Task<Result<Bytes>> OdafsClient::pwrite_arm(std::uint64_t fh, Bytes off,
         // replaying the bytes inline is safe even when the put was lost
         // mid-resolve (revoke fire) or the commit ack went missing.
         ++put_fallbacks_;
-        Result<Bytes> n = Errc::io_error;
-        for (unsigned a = 1; a <= cfg_.max_fetch_attempts; ++a) {
-          n = co_await dafs_.write_inline(fh, pos, bytes, op);
-          if (n.ok() || !fetch_retryable(n.code())) break;
-        }
+        auto n = co_await rpc_write(fh, pos, bytes, op);
         if (!n.ok()) co_return n.status();
       }
       apply_local_write(fh, pos, bytes, version);
@@ -548,13 +508,7 @@ sim::Task<Result<Bytes>> OdafsClient::pwrite_arm(std::uint64_t fh, Bytes off,
     co_return len;
   }
 
-  // Idempotent write-through: re-issue (bounded) when the request gave up
-  // on retransmits or hit a transient error.
-  Result<Bytes> n = Errc::io_error;
-  for (unsigned attempt = 1; attempt <= cfg_.max_fetch_attempts; ++attempt) {
-    n = co_await dafs_.write_inline(fh, off, data, op);
-    if (n.ok() || !fetch_retryable(n.code())) break;
-  }
+  auto n = co_await rpc_write(fh, off, data, op);
   if (!n.ok()) co_return n.status();
 
   auto& size = sizes_[fh];
@@ -592,46 +546,49 @@ sim::Task<Result<std::uint64_t>> OdafsClient::put_piece(
   if (!cap) co_return Errc::not_found;
 
   const std::uint32_t cksum = data_checksum(data);
-  Status last = Status(Errc::io_error);
-  for (unsigned attempt = 1; attempt <= cfg_.max_fetch_attempts; ++attempt) {
-    // Unacked put: VI in-order delivery guarantees the commit RPC below
-    // arrives at the server after the written bytes did.
-    ++puts_issued_;
-    auto put = co_await host_.nic().gm_put(dafs_.server_node(),
-                                           cap->base + soff,
-                                           net::Buffer::copy_of(data), *cap,
-                                           /*wait_ack=*/false, op);
-    if (!put.ok()) {
-      last = put;
-      if (fetch_retryable(put.code())) continue;
-      break;
-    }
-    auto res = co_await dafs_.put_commit(fh, sfbn, soff, data.size(), cksum,
-                                         flags, op);
-    if (res.ok()) {
-      ++put_commits_;
-      co_return res.value().version;
-    }
-    const Errc e = res.code();
-    if (e != Errc::timed_out) ++put_rejects_;
-    if (e == Errc::revoked || e == Errc::not_supported) {
-      // Reference dead server-side: drop every covered reference so the
-      // caller (and future writes) go straight to RPC until refreshed.
-      for (std::uint64_t i = 0; i < count; ++i) {
-        if (auto* h = cache_.peek(cache::BlockKey{fh, first + i});
-            h && h->ref) {
-          cache_.clear_ref(*h);
+  co_return co_await recover::bounded(
+      cfg_.max_fetch_attempts, recover::Site{host_, stats_.retries, op},
+      [&]() -> sim::Task<Result<std::uint64_t>> {
+        // Unacked put: VI in-order delivery guarantees the commit RPC below
+        // arrives at the server after the written bytes did.
+        ++puts_issued_;
+        auto put = co_await host_.nic().gm_put(
+            dafs_.server_node(), cap->base + soff, net::Buffer::copy_of(data),
+            *cap, /*wait_ack=*/false, op);
+        if (!put.ok()) co_return put;
+        auto res = co_await dafs_.put_commit(fh, sfbn, soff, data.size(),
+                                             cksum, flags, op);
+        if (res.ok()) {
+          ++put_commits_;
+          co_return res.value().version;
         }
-      }
-      co_return e;
-    }
-    // io_error = the put was lost or overtaken at the NIC (e.g. a revoke
-    // fault between placement and commit); timed_out = commit gave up on
-    // retransmits. Both: replay put + commit.
-    last = res.status();
-    if (!fetch_retryable(e)) break;
-  }
-  co_return last;
+        const Errc e = res.code();
+        if (e != Errc::timed_out) ++put_rejects_;
+        if (e == Errc::revoked || e == Errc::not_supported) {
+          // Reference dead server-side: drop every covered reference so the
+          // caller (and future writes) go straight to RPC until refreshed.
+          // Final, unlike a revoked put: no usable reference is left.
+          for (std::uint64_t i = 0; i < count; ++i) {
+            if (auto* h = cache_.peek(cache::BlockKey{fh, first + i});
+                h && h->ref) {
+              cache_.clear_ref(*h);
+            }
+          }
+          co_return Errc::not_found;
+        }
+        // io_error = the put was lost or overtaken at the NIC (e.g. a revoke
+        // fault between placement and commit); timed_out = commit gave up
+        // on retransmits. Both: replay put + commit.
+        co_return res.status();
+      });
+}
+
+sim::Task<Result<Bytes>> OdafsClient::rpc_write(
+    std::uint64_t fh, Bytes off, std::span<const std::byte> data,
+    obs::OpId op) {
+  co_return co_await recover::bounded(
+      cfg_.max_fetch_attempts, recover::Site{host_, stats_.retries, op},
+      [&] { return dafs_.write_inline(fh, off, data, op); });
 }
 
 sim::Task<Result<Bytes>> OdafsClient::pwrite_wb(std::uint64_t fh, Bytes off,
@@ -729,11 +686,7 @@ sim::Task<Status> OdafsClient::flush_block(cache::BlockKey key, obs::OpId op,
     // Same recovery as write-through: every exhausted put failure replays
     // inline over RPC (an uncommitted put is never applied server-side).
     ++put_fallbacks_;
-    Result<Bytes> n = Errc::io_error;
-    for (unsigned a = 1; a <= cfg_.max_fetch_attempts; ++a) {
-      n = co_await dafs_.write_inline(key.file, pos, data, op);
-      if (n.ok() || !fetch_retryable(n.code())) break;
-    }
+    auto n = co_await rpc_write(key.file, pos, data, op);
     if (!n.ok()) st = n.status();
   }
 

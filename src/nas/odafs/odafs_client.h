@@ -47,9 +47,9 @@ struct OdafsClientConfig {
   // fetched with this much concurrency ("the cache starts internal
   // read-ahead up to the size of the application request", §5.2).
   unsigned read_ahead_window = 8;
-  // Upper bound on ORDMA→RPC fetch attempts per cache block (and write
-  // re-issues) under faults; exhausting it surfaces the last error (or
-  // Errc::io_error for integrity failures) to the caller.
+  // Attempts (at least one) per RPC block fetch, put + commit and RPC
+  // write under retryable failures (recover/recover.h), then the last
+  // error surfaces. A retry counts a re-issue, never the first attempt.
   unsigned max_fetch_attempts = 3;
   // Write path (requires a server with writable_refs for the put paths;
   // puts degrade to RPC write-through when the server refuses them).
@@ -147,13 +147,18 @@ class OdafsClient : public core::FileClient {
   // --- ORDMA write path ----------------------------------------------------
   // Optimistic put of `data` at absolute file offset `pos` (all within one
   // server block) + kPutCommit, through a held write reference. Returns
-  // the block's new commit version; not_found = no usable reference and
-  // revoked/not_supported = reference dead server-side (both: the caller
-  // falls back to an RPC write).
+  // the block's new commit version; not_found = no usable reference (none
+  // held, or the server found it dead). On any failure the caller falls
+  // back to rpc_write.
   sim::Task<Result<std::uint64_t>> put_piece(std::uint64_t fh, Bytes pos,
                                              std::span<const std::byte> data,
                                              std::uint32_t flags,
                                              obs::OpId op);
+  // Idempotent RPC write-through of `data` at `off`, re-issued (bounded by
+  // max_fetch_attempts) on retryable failures.
+  sim::Task<Result<Bytes>> rpc_write(std::uint64_t fh, Bytes off,
+                                     std::span<const std::byte> data,
+                                     obs::OpId op);
   // Write-back pwrite body and flush machinery.
   sim::Task<Result<Bytes>> pwrite_wb(std::uint64_t fh, Bytes off,
                                      mem::Vaddr user_va, Bytes len,

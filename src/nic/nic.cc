@@ -142,22 +142,18 @@ sim::Task<Result<net::Buffer>> Nic::gm_get(net::NodeId dst, mem::Vaddr va,
   ctrl.cap = cap;
   // capability on the wire
   send_ctrl_packet(dst, ctrl, /*extra_bytes=*/40, trace_op);
+  co_return co_await await_op(op_id, *op_ptr);
+}
 
-  Result<net::Buffer> result = Errc::timed_out;
-  if (cfg_.op_timeout.ns > 0) {
-    auto got = co_await op_ptr->done.wait_for(cfg_.op_timeout);
-    if (got) {
-      result = std::move(*got);
-    } else {
-      ++ordma_timeouts_;  // lost request/reply; the caller falls back
-      host_.flight().record(eng_.now().ns,
-                            obs::flight::Ev::nic_ordma_timeout, op_id);
-    }
-  } else {
-    result = co_await op_ptr->done.wait();
-  }
+sim::Task<Result<net::Buffer>> Nic::await_op(std::uint64_t op_id,
+                                             PendingOp& op) {
+  auto got = co_await op.done.wait_for(cfg_.op_timeout);
   pending_.erase(op_id);
-  co_return result;
+  if (got) co_return std::move(*got);
+  ++ordma_timeouts_;  // lost request/reply; the caller falls back
+  host_.flight().record(eng_.now().ns, obs::flight::Ev::nic_ordma_timeout,
+                        op_id);
+  co_return Errc::timed_out;
 }
 
 sim::Task<Status> Nic::gm_put(net::NodeId dst, mem::Vaddr va,
@@ -186,21 +182,7 @@ sim::Task<Status> Nic::gm_put(net::NodeId dst, mem::Vaddr va,
   pending_.emplace(op_id, std::move(op));
   co_await send_fragments(dst, std::move(data), ctrl, /*charge_dma=*/true,
                           trace_op);
-  Result<net::Buffer> result = Errc::timed_out;
-  if (cfg_.op_timeout.ns > 0) {
-    auto got = co_await op_ptr->done.wait_for(cfg_.op_timeout);
-    if (got) {
-      result = std::move(*got);
-    } else {
-      ++ordma_timeouts_;
-      host_.flight().record(eng_.now().ns,
-                            obs::flight::Ev::nic_ordma_timeout, op_id);
-    }
-  } else {
-    result = co_await op_ptr->done.wait();
-  }
-  pending_.erase(op_id);
-  co_return result.status();
+  co_return (co_await await_op(op_id, *op_ptr)).status();
 }
 
 // ---------------------------------------------------------------------------

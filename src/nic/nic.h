@@ -218,6 +218,11 @@ class Nic {
     Bytes len = 0;
   };
 
+  // Await a pending get/put completion for up to cfg_.op_timeout (0 = no
+  // bound), then retire it; a timeout surfaces as Errc::timed_out.
+  sim::Task<Result<net::Buffer>> await_op(std::uint64_t op_id,
+                                          PendingOp& op);
+
   // --- firmware processes -------------------------------------------------
   sim::Task<void> rx_loop();
   sim::Task<void> handle_gm_data(net::Packet p);

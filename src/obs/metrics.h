@@ -19,6 +19,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/stats.h"
@@ -108,6 +109,35 @@ class MetricsRegistry {
   // std::map: deterministic order and stable addresses.
   std::map<std::string, Entry> entries_;
 };
+
+// One row of a component's stats table: the metric's path (appended to the
+// component's prefix), how to read it from the component, and whether it
+// is a monotone total (a cumulative gauge, differenced per window by
+// obs/timeseries.h) or an instantaneous level such as a queue depth.
+// `read` is any captureless lambda taking T&; its result converts to
+// double.
+template <typename T>
+struct Stat {
+  template <typename Read>
+  constexpr Stat(const char* name, Read, bool cumulative = true)
+      : name(name),
+        read([](T& obj) { return static_cast<double>(Read{}(obj)); }),
+        cumulative(cumulative) {}
+  const char* name;
+  double (*read)(T&);
+  bool cumulative;
+};
+
+// Register one pull-gauge per row of `table`, at prefix + row name, read
+// from `obj` whenever the registry is sampled; `obj` must outlive `reg`.
+template <typename T, std::size_t N>
+void export_stats(MetricsRegistry& reg, const std::string& prefix,
+                  std::type_identity_t<T>& obj, const Stat<T> (&table)[N]) {
+  for (const Stat<T>& s : table) {
+    reg.gauge(prefix + s.name, [&obj, read = s.read] { return read(obj); },
+              s.cumulative);
+  }
+}
 
 // Thread-local (net::packet.h Pool precedent; storage in the consolidated
 // common/tls_ctx.h context): each parallel-runner worker installs its own

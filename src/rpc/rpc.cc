@@ -37,6 +37,38 @@ net::Buffer seal_message(XdrEncoder& enc) {
 
 }  // namespace
 
+void Retransmit::timed_out(SimTime wait0) {
+  ++counts_.timeouts;
+  const SimTime now = host_.engine().now();
+  host_.flight().record(now.ns, obs::flight::Ev::rpc_timeout, xid_, 0,
+                        attempt_);
+  // The whole timed-out wait is retransmit/backoff dead time: nothing the
+  // op was charged for happened between the lost exchange and this
+  // instant. The tail explainer blames it on `rpc_retransmit` (lower
+  // priority than real work recorded inside the window, so live costs of
+  // the lost attempt keep their own causes).
+  obs::span(track_, op_, "io/rpc_retransmit", wait0, now);
+}
+
+bool Retransmit::next() {
+  const std::int64_t now = host_.engine().now().ns;
+  if (timeout_.ns <= 0 || attempt_ >= policy_.max_attempts) {
+    host_.flight().record(now, obs::flight::Ev::rpc_giveup, xid_, 0,
+                          attempt_);
+    return false;
+  }
+  ++counts_.retransmits;
+  obs::note_op_retry(op_);
+  ++attempt_;
+  host_.flight().record(now, obs::flight::Ev::rpc_retransmit, xid_, 0,
+                        attempt_);
+  timeout_ = Duration{std::min<std::int64_t>(
+      static_cast<std::int64_t>(static_cast<double>(timeout_.ns) *
+                                policy_.backoff),
+      policy_.max_timeout.ns)};
+  return true;
+}
+
 // ---------------------------------------------------------------------------
 // Client
 // ---------------------------------------------------------------------------
@@ -88,11 +120,9 @@ sim::Task<Result<RpcReplyInfo>> RpcClient::call(net::NodeId server,
   enc.raw(args.view());
   const net::Buffer msg = seal_message(enc);
 
-  const bool wait_forever = retry_.timeout.ns <= 0;
-  const unsigned max_attempts = std::max(1u, retry_.max_attempts);
-  Duration timeout = retry_.timeout;
+  Retransmit rtx(retry_, host_, rpc_track_, rtx_, xid, trace_op);
   Result<RpcReplyInfo> out = Errc::timed_out;
-  for (unsigned attempt = 1;; ++attempt) {
+  for (;;) {
     auto waiter = std::make_unique<Waiter>(host_.engine());
     auto* wp = waiter.get();
     waiting_[xid] = std::move(waiter);  // supersedes any prior attempt's
@@ -103,12 +133,7 @@ sim::Task<Result<RpcReplyInfo>> RpcClient::call(net::NodeId server,
                              trace_op);
 
     const SimTime wait0 = host_.engine().now();
-    std::optional<RpcReplyInfo> got;
-    if (wait_forever) {
-      got = co_await wp->done.wait();
-    } else {
-      got = co_await wp->done.wait_for(timeout);
-    }
+    auto got = co_await wp->done.wait_for(rtx.timeout());
     // A reply that did not consume the prepost leaves it armed; disarm
     // before accepting so no late duplicate can scribble on the buffer
     // after we return.
@@ -116,50 +141,25 @@ sim::Task<Result<RpcReplyInfo>> RpcClient::call(net::NodeId server,
       host_.nic().cancel_prepost(xid);
     }
 
-    if (got) {
-      if (reply_checksum_ok(*got, prepost)) {
-        host_.flight().record(host_.engine().now().ns,
-                              obs::flight::Ev::rpc_reply, xid, got->status);
-        out = std::move(*got);
-        break;
-      }
+    if (!got) {
+      rtx.timed_out(wait0);
+      out = Errc::timed_out;
+    } else if (reply_checksum_ok(*got, prepost)) {
+      host_.flight().record(host_.engine().now().ns,
+                            obs::flight::Ev::rpc_reply, xid, got->status);
+      out = std::move(*got);
+      break;
+    } else {
       ++cksum_drops_;
       host_.flight().record(host_.engine().now().ns,
                             obs::flight::Ev::rpc_cksum_drop, xid);
       out = Errc::io_error;  // stands only if attempts are exhausted
-    } else {
-      ++timeouts_;
-      host_.flight().record(host_.engine().now().ns,
-                            obs::flight::Ev::rpc_timeout, xid, 0, attempt);
-      // The whole timed-out wait is retransmit/backoff dead time: nothing
-      // the op was charged for happened between the lost exchange and this
-      // instant. The tail explainer blames it on `rpc_retransmit` (lower
-      // priority than real work recorded inside the window, so live costs
-      // of the lost attempt keep their own causes).
-      obs::span(rpc_track_, trace_op, "io/rpc_retransmit", wait0,
-                host_.engine().now());
-      out = Errc::timed_out;
     }
-    if (wait_forever || attempt >= max_attempts) {
-      if (!out.ok()) {
-        host_.flight().record(host_.engine().now().ns,
-                              obs::flight::Ev::rpc_giveup, xid, 0, attempt);
-      }
-      break;
-    }
-    ++retransmits_;
-    obs::note_op_retry(trace_op);
-    host_.flight().record(host_.engine().now().ns,
-                          obs::flight::Ev::rpc_retransmit, xid, 0,
-                          attempt + 1);
+    if (!rtx.next()) break;
     if (prepost) {
       // Re-arm for the retransmission (consumed or disarmed above).
       host_.nic().prepost(xid, *prepost->as, prepost->va, prepost->len);
     }
-    timeout = Duration{std::min<std::int64_t>(
-        static_cast<std::int64_t>(static_cast<double>(timeout.ns) *
-                                  retry_.backoff),
-        retry_.max_timeout.ns)};
   }
   waiting_.erase(xid);
   co_await host_.cpu_consume(cm.rpc_client_complete, trace_op,

@@ -54,6 +54,51 @@ struct RpcRetryPolicy {
   Duration max_timeout = msec(100);
 };
 
+// Lost-attempt totals a client keeps across all its requests.
+struct RetransmitCounts {
+  std::uint64_t retransmits = 0;
+  std::uint64_t timeouts = 0;
+};
+
+// One request's place in its RpcRetryPolicy schedule, and the bookkeeping
+// each lost attempt owes: the rpc_timeout / rpc_retransmit / rpc_giveup
+// flight events, the "io/rpc_retransmit" span the tail explainer
+// (obs/explain.h) charges, the trace sampler's retry mark and `counts`.
+// Shared by the ONC RPC client and the DAFS client, whose retransmissions
+// reuse the request id so the server's duplicate cache can replay.
+class Retransmit {
+ public:
+  Retransmit(RpcRetryPolicy policy, host::Host& host, obs::Track& track,
+             RetransmitCounts& counts, std::uint32_t xid, obs::OpId op)
+      : policy_(policy),
+        host_(host),
+        track_(track),
+        counts_(counts),
+        xid_(xid),
+        op_(op),
+        timeout_(policy.timeout) {}
+
+  // How long the current attempt waits for its reply (<= 0: forever, as
+  // sim::Event::wait_for reads it).
+  Duration timeout() const { return timeout_; }
+  // The current attempt's wait, begun at `wait0`, timed out just now.
+  void timed_out(SimTime wait0);
+  // The current attempt failed. Returns false, recording the give-up, once
+  // the policy allows no further attempt (a wait-forever policy never
+  // retransmits); otherwise accounts for the retransmission and backs off.
+  bool next();
+
+ private:
+  RpcRetryPolicy policy_;
+  host::Host& host_;
+  obs::Track& track_;
+  RetransmitCounts& counts_;
+  std::uint32_t xid_;
+  obs::OpId op_;
+  unsigned attempt_ = 1;
+  Duration timeout_;
+};
+
 struct RpcReplyInfo {
   std::uint32_t status = 0;      // protocol-level status (Errc as u32)
   net::Buffer results;           // decoded results region (after header)
@@ -93,8 +138,8 @@ class RpcClient {
                                        obs::OpId trace_op = 0);
 
   std::uint64_t calls_issued() const { return next_xid_ - 1; }
-  std::uint64_t retransmits() const { return retransmits_; }
-  std::uint64_t timeouts() const { return timeouts_; }
+  std::uint64_t retransmits() const { return rtx_.retransmits; }
+  std::uint64_t timeouts() const { return rtx_.timeouts; }
   std::uint64_t cksum_drops() const { return cksum_drops_; }
 
  private:
@@ -115,8 +160,7 @@ class RpcClient {
   obs::Track rpc_track_;
   std::uint32_t next_xid_ = 1;
   std::unordered_map<std::uint32_t, std::unique_ptr<Waiter>> waiting_;
-  std::uint64_t retransmits_ = 0;
-  std::uint64_t timeouts_ = 0;
+  RetransmitCounts rtx_;
   std::uint64_t cksum_drops_ = 0;
 };
 

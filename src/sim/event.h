@@ -72,6 +72,8 @@ class Event {
   // Timed wait: resumes with the value once set() fires, or with
   // std::nullopt after `d` if it has not. The caller owns recovery (e.g. a
   // retransmit); the event itself stays armed and may still fire later.
+  // `d <= 0` means no timeout: no timer is scheduled and only set() wakes
+  // the waiter, exactly as wait() would.
   TimedAwaiter wait_for(Duration d) { return TimedAwaiter(*this, d); }
 
   class Awaiter {
@@ -128,6 +130,7 @@ class Event {
     void await_suspend(std::coroutine_handle<> h) {
       node_.h = h;
       ev_.waiters_.push_back(&node_);
+      if (d_.ns <= 0) return;
       timeout_ = ev_.eng_.schedule_fn(d_, [this] {
         timeout_ = nullptr;  // the engine recycles this TimerNode after firing
         if (node_.linked()) {

@@ -159,6 +159,89 @@ TEST(FaultInjection, DiskErrorPropagatesThroughDafsRead) {
   });
 }
 
+// op_giveup records in a host's flight ring: one per op that ran out of
+// re-issues.
+std::size_t flight_giveups(host::Host& h) {
+  std::size_t n = 0;
+  h.flight().for_each([&n](std::uint64_t, const obs::flight::Ring::Record& r) {
+    if (r.code == obs::flight::Ev::op_giveup) ++n;
+  });
+  return n;
+}
+
+// A retry counts a re-issue, never the first attempt: an op that makes
+// every attempt its budget allows records budget - 1 retries and one
+// give-up, whichever client and path it runs through.
+TEST(FaultInjection, DafsReadGiveUpCountsReissuesOnly) {
+  ClusterConfig cc;
+  cc.fs.block_size = KiB(4);
+  cc.fs.cache_blocks = 8;  // small cache so reads hit the disk
+  Cluster c(cc);
+  c.start_dafs();
+  auto client = c.make_dafs_client(0);  // max_io_attempts = 4
+  drive(c, [&]() -> sim::Task<void> {
+    co_await c.make_file("f", KiB(64), false);  // cold cache
+    auto open = co_await client->open("f");
+    EXPECT_TRUE(open.ok());
+    auto& h = c.client(0);
+    const mem::Vaddr buf = h.map_new(h.user_as(), KiB(32));
+
+    c.server_fs().disk().inject_failures(1000);
+    auto n = co_await client->pread(open.value().fh, 0, buf, KiB(32));
+    EXPECT_EQ(n.code(), Errc::io_error);
+    EXPECT_EQ(client->op_stats().retries, 3u);
+    EXPECT_EQ(flight_giveups(h), 1u);
+  });
+}
+
+TEST(FaultInjection, OdafsFetchGiveUpCountsReissuesOnly) {
+  ClusterConfig cc;
+  cc.fs.block_size = KiB(4);
+  cc.fs.cache_blocks = 8;
+  Cluster c(cc);
+  c.start_dafs({.piggyback_refs = true});
+  auto cfg = odafs_cfg();  // max_fetch_attempts = 3
+  cfg.read_ahead_window = 1;
+  auto client = c.make_odafs_client(0, cfg);
+  drive(c, [&]() -> sim::Task<void> {
+    co_await c.make_file("f", KiB(64), false);
+    auto open = co_await client->open("f");
+    EXPECT_TRUE(open.ok());
+    auto& h = c.client(0);
+    const mem::Vaddr buf = h.map_new(h.user_as(), KiB(4));
+
+    c.server_fs().disk().inject_failures(1000);
+    auto n = co_await client->pread(open.value().fh, 0, buf, KiB(4));
+    EXPECT_FALSE(n.ok());
+    EXPECT_EQ(client->op_stats().retries, 2u);
+    EXPECT_EQ(client->fetch_give_ups(), 1u);
+    EXPECT_EQ(flight_giveups(h), 1u);
+  });
+}
+
+TEST(FaultInjection, OdafsWriteReissuesCountAsRetries) {
+  ClusterConfig cc;
+  cc.fs.block_size = KiB(4);
+  cc.fs.cache_blocks = 8;
+  Cluster c(cc);
+  c.start_dafs({.piggyback_refs = true});
+  auto client = c.make_odafs_client(0, odafs_cfg());  // rpc_through
+  drive(c, [&]() -> sim::Task<void> {
+    co_await c.make_file("f", KiB(64), false);
+    auto open = co_await client->open("f");
+    EXPECT_TRUE(open.ok());
+    auto& h = c.client(0);
+    const mem::Vaddr buf = h.map_new(h.user_as(), KiB(4));
+
+    // A partial-block write makes the server read the block from disk.
+    c.server_fs().disk().inject_failures(1000);
+    auto n = co_await client->pwrite(open.value().fh, 100, buf, 200);
+    EXPECT_FALSE(n.ok());
+    EXPECT_EQ(client->op_stats().retries, 2u);
+    EXPECT_EQ(flight_giveups(h), 1u);
+  });
+}
+
 TEST(FaultInjection, OdafsSurfacesDiskErrorOnRpcFallback) {
   ClusterConfig cc;
   cc.fs.block_size = KiB(4);

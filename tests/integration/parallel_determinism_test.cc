@@ -9,6 +9,7 @@
 // observability install is thread-local.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <barrier>
 #include <memory>
 #include <sstream>
@@ -44,6 +45,7 @@ struct RunOutput {
   std::uint64_t hash = 0xcbf29ce484222325ull;
   std::size_t trace_events = 0;
   std::string metrics_json;
+  std::vector<std::string> metric_paths;  // every registered path
   std::string explain_json;
 };
 
@@ -443,6 +445,10 @@ RunOutput odafs_run(std::size_t index, const policy::PolicyConfig& pol) {
     std::ostringstream ms;
     reg.write_json(ms);
     out.metrics_json = ms.str();
+    obs::MetricsRegistry::DeltaCursor cursor;
+    std::vector<obs::MetricsRegistry::Delta> rows;
+    reg.delta_snapshot(cursor, rows);
+    for (const auto& row : rows) out.metric_paths.push_back(*row.path);
   }
   obs::install(static_cast<obs::MetricsRegistry*>(nullptr));
   return out;
@@ -467,6 +473,18 @@ TEST(ParallelDeterminism, AdaptivePolicyRunsAreBitIdenticalToSerial) {
         << "run " << i;
   }
   EXPECT_NE(serial[0].hash, serial[1].hash);
+  // The recovery counters of the ODAFS client, its DAFS transport and the
+  // DAFS server all reach the registry (hence timeseries and health too).
+  const std::vector<std::string>& paths = serial[0].metric_paths;
+  for (const char* path :
+       {"client0/odafs/ordma_faults", "client0/odafs/fetch_give_ups",
+        "client0/odafs/integrity_retries", "client0/odafs/put_rejects",
+        "client0/odafs/inval_refetches", "client0/odafs/attr_ordma",
+        "client0/dafs/retransmits", "client0/dafs/timeouts",
+        "server/dafs/dup_replays", "server/dafs/dup_drops"}) {
+    EXPECT_NE(std::find(paths.begin(), paths.end(), path), paths.end())
+        << "missing metric: " << path;
+  }
 }
 
 // Policy off: the engine must be invisible. A config that never mentions

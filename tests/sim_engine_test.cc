@@ -2,6 +2,7 @@
 // ordering, determinism, cancellation safety, resource accounting.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "sim/channel.h"
@@ -174,6 +175,36 @@ TEST(Event, VoidEventWorks) {
   eng.schedule_fn(usec(1), [&] { ev.set(); });
   eng.run();
   EXPECT_TRUE(done);
+}
+
+TEST(Event, WaitForWithoutTimeoutWaitsForSet) {
+  // wait_for(d <= 0) is the untimed wait: it resumes with the value at the
+  // set() instant and schedules no timer, so the run fires exactly as many
+  // entries as a plain wait().
+  auto run = [](bool timed, std::optional<int>& got, SimTime& at) {
+    Engine eng;
+    Event<int> ev(eng);
+    eng.spawn([](Engine& eng, Event<int>& ev, bool timed,
+                 std::optional<int>& got, SimTime& at) -> Task<void> {
+      if (timed) {
+        got = co_await ev.wait_for(Duration{0});
+      } else {
+        got = co_await ev.wait();
+      }
+      at = eng.now();
+    }(eng, ev, timed, got, at));
+    eng.schedule_fn(usec(5), [&] { ev.set(7); });
+    return eng.run();
+  };
+  std::optional<int> timed_got, plain_got;
+  SimTime timed_at, plain_at;
+  const std::uint64_t timed_events = run(true, timed_got, timed_at);
+  const std::uint64_t plain_events = run(false, plain_got, plain_at);
+  EXPECT_EQ(timed_got, std::optional<int>(7));
+  EXPECT_EQ(timed_at.ns, usec(5).ns);
+  EXPECT_EQ(plain_got, std::optional<int>(7));
+  EXPECT_EQ(plain_at.ns, usec(5).ns);
+  EXPECT_EQ(timed_events, plain_events);
 }
 
 TEST(Channel, FifoDelivery) {

@@ -30,6 +30,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -49,6 +50,8 @@ namespace {
 using core::Cluster;
 using core::ClusterConfig;
 
+// hybrid is NFS with server-initiated RDMA into a registered user buffer,
+// whose unacked data frames it verifies by checksum and re-reads.
 // odafs_put / odafs_wb run the ORDMA write path (optimistic put-through /
 // write-back) against a coherence server; plain odafs keeps the historical
 // RPC write-through behavior. odafs_policy layers the adaptive per-op
@@ -56,13 +59,14 @@ using core::ClusterConfig;
 // write-back) plus the ARC reference directory on top of the coherence
 // server — the faults must not confuse the engine into losing data.
 enum class Proto {
-  nfs, prepost, dafs, odafs, odafs_put, odafs_wb, odafs_policy
+  nfs, prepost, hybrid, dafs, odafs, odafs_put, odafs_wb, odafs_policy
 };
 
 const char* proto_name(Proto p) {
   switch (p) {
     case Proto::nfs: return "nfs";
     case Proto::prepost: return "prepost";
+    case Proto::hybrid: return "hybrid";
     case Proto::dafs: return "dafs";
     case Proto::odafs: return "odafs";
     case Proto::odafs_put: return "odafs_put";
@@ -174,6 +178,10 @@ TortureResult run_torture(const TortureOptions& opt) {
       case Proto::prepost:
         cluster.start_nfs();
         client = cluster.make_prepost_client(0, KiB(32));
+        break;
+      case Proto::hybrid:
+        cluster.start_nfs();
+        client = cluster.make_hybrid_client(0, KiB(32));
         break;
       case Proto::dafs:
         cluster.start_dafs();
@@ -379,9 +387,9 @@ void report_failure(Proto proto, std::uint64_t seed,
 }
 
 constexpr Proto kAllProtos[] = {Proto::nfs,       Proto::prepost,
-                                Proto::dafs,      Proto::odafs,
-                                Proto::odafs_put, Proto::odafs_wb,
-                                Proto::odafs_policy};
+                                Proto::hybrid,    Proto::dafs,
+                                Proto::odafs,     Proto::odafs_put,
+                                Proto::odafs_wb,  Proto::odafs_policy};
 
 // --- the seed matrix --------------------------------------------------------
 
@@ -529,6 +537,129 @@ TEST(Torture, ZeroPlanIsIdenticalToNoInjector) {
     EXPECT_EQ(none.failures, 0u) << proto_name(proto);
     EXPECT_EQ(none.hash, zero.hash) << proto_name(proto);
     EXPECT_EQ(zero.injected, 0u) << proto_name(proto);
+  }
+}
+
+// --- pinned golden hashes ---------------------------------------------------
+
+// Every other hash check in this file is relative (the same seed twice, an
+// observer on and off), so a change to what a recovery path does under
+// faults would pass them all. These absolute event-stream hashes pin it:
+// adversarial seeds 1-8 and brutal seeds 11-14 for each protocol but
+// hybrid (a revoked transfer first reaches a re-issue loop at adversarial
+// seed 5, so fewer seeds would leave part of the retryable set unpinned).
+using Faults = TortureOptions::Faults;
+struct GoldenRun {
+  Proto proto;
+  Faults faults;
+  std::uint64_t seed;
+  std::uint64_t hash;
+};
+constexpr GoldenRun kGoldenRuns[] = {
+    {Proto::nfs, Faults::adversarial, 1, 0xefa333acb793ae5bull},
+    {Proto::nfs, Faults::adversarial, 2, 0x4df08629382d5c0aull},
+    {Proto::nfs, Faults::adversarial, 3, 0xa71ebe3ba0af647eull},
+    {Proto::nfs, Faults::adversarial, 4, 0xb754ffacc93ee734ull},
+    {Proto::nfs, Faults::adversarial, 5, 0xdf0d059b88e78c6cull},
+    {Proto::nfs, Faults::adversarial, 6, 0xccb3ac7b3be9e03cull},
+    {Proto::nfs, Faults::adversarial, 7, 0x32563da4e1627cebull},
+    {Proto::nfs, Faults::adversarial, 8, 0xb7a707dd486eb320ull},
+    {Proto::nfs, Faults::brutal, 11, 0x6b88e0855692e39bull},
+    {Proto::nfs, Faults::brutal, 12, 0xa9381c3d04fb6233ull},
+    {Proto::nfs, Faults::brutal, 13, 0xf0fdae8d84204501ull},
+    {Proto::nfs, Faults::brutal, 14, 0x02214a3303d645ceull},
+    {Proto::prepost, Faults::adversarial, 1, 0x46693a07ed2da25aull},
+    {Proto::prepost, Faults::adversarial, 2, 0xa9bed7f99eefbe81ull},
+    {Proto::prepost, Faults::adversarial, 3, 0x04aae86f7b0aae92ull},
+    {Proto::prepost, Faults::adversarial, 4, 0xe97bf9626dc6f8e6ull},
+    {Proto::prepost, Faults::adversarial, 5, 0x2920e322324add94ull},
+    {Proto::prepost, Faults::adversarial, 6, 0xb687d631baa79962ull},
+    {Proto::prepost, Faults::adversarial, 7, 0xf495afdb28aef12eull},
+    {Proto::prepost, Faults::adversarial, 8, 0xecc85225b2bf19afull},
+    {Proto::prepost, Faults::brutal, 11, 0x62bd4f3c2022db31ull},
+    {Proto::prepost, Faults::brutal, 12, 0x24f5a993053f5588ull},
+    {Proto::prepost, Faults::brutal, 13, 0x1a7403f5f65cca55ull},
+    {Proto::prepost, Faults::brutal, 14, 0xd8c2f273c292280cull},
+    {Proto::dafs, Faults::adversarial, 1, 0x19529104375c4de7ull},
+    {Proto::dafs, Faults::adversarial, 2, 0xbba6a989458ab2f3ull},
+    {Proto::dafs, Faults::adversarial, 3, 0x70aaeda56d00c04bull},
+    {Proto::dafs, Faults::adversarial, 4, 0x12da7d222686fe4bull},
+    {Proto::dafs, Faults::adversarial, 5, 0x9c63a6ea72e89674ull},
+    {Proto::dafs, Faults::adversarial, 6, 0xd0fb5fc873ed98aaull},
+    {Proto::dafs, Faults::adversarial, 7, 0x020caf5f37046122ull},
+    {Proto::dafs, Faults::adversarial, 8, 0x4070d44e8c7ad5b7ull},
+    {Proto::dafs, Faults::brutal, 11, 0x2847621f06d8c115ull},
+    {Proto::dafs, Faults::brutal, 12, 0x5be43662e419dc65ull},
+    {Proto::dafs, Faults::brutal, 13, 0xefc7a728253e9d03ull},
+    {Proto::dafs, Faults::brutal, 14, 0xad898576d51dfad1ull},
+    {Proto::odafs, Faults::adversarial, 1, 0x333aefe1df6feea0ull},
+    {Proto::odafs, Faults::adversarial, 2, 0xb77d4834ce6a39d9ull},
+    {Proto::odafs, Faults::adversarial, 3, 0x7ad22f5ed9111ca7ull},
+    {Proto::odafs, Faults::adversarial, 4, 0x5e810dbde045389full},
+    {Proto::odafs, Faults::adversarial, 5, 0xded458adb5ffd3e4ull},
+    {Proto::odafs, Faults::adversarial, 6, 0x4f7c7fe43caf6bdcull},
+    {Proto::odafs, Faults::adversarial, 7, 0x0b209e17b1d41259ull},
+    {Proto::odafs, Faults::adversarial, 8, 0xba30bfe9eec0a671ull},
+    {Proto::odafs, Faults::brutal, 11, 0x4a2a3452873eb697ull},
+    {Proto::odafs, Faults::brutal, 12, 0xb7d3e00f2600986cull},
+    {Proto::odafs, Faults::brutal, 13, 0x759423ed44d1b76bull},
+    {Proto::odafs, Faults::brutal, 14, 0xdd83e23e4f5e5318ull},
+    {Proto::odafs_put, Faults::adversarial, 1, 0xe133adb7dab80c08ull},
+    {Proto::odafs_put, Faults::adversarial, 2, 0xb23c9004914a3688ull},
+    {Proto::odafs_put, Faults::adversarial, 3, 0x237cb5412b691afbull},
+    {Proto::odafs_put, Faults::adversarial, 4, 0xa8d717dfd8d3dcbfull},
+    {Proto::odafs_put, Faults::adversarial, 5, 0x640ef1df44595ed3ull},
+    {Proto::odafs_put, Faults::adversarial, 6, 0x0ca68c17868008bfull},
+    {Proto::odafs_put, Faults::adversarial, 7, 0x33ab462dc8481155ull},
+    {Proto::odafs_put, Faults::adversarial, 8, 0xc80845de3cbbcd0eull},
+    {Proto::odafs_put, Faults::brutal, 11, 0x45de156631e99a8cull},
+    {Proto::odafs_put, Faults::brutal, 12, 0xed78b2d0fb974b38ull},
+    {Proto::odafs_put, Faults::brutal, 13, 0xd68919e19f1eaba0ull},
+    {Proto::odafs_put, Faults::brutal, 14, 0x48f34b6ae75febe1ull},
+    {Proto::odafs_wb, Faults::adversarial, 1, 0xa6143999c39ed194ull},
+    {Proto::odafs_wb, Faults::adversarial, 2, 0xb928509f610fafb4ull},
+    {Proto::odafs_wb, Faults::adversarial, 3, 0x17e5321fb91f4374ull},
+    {Proto::odafs_wb, Faults::adversarial, 4, 0x772e769fb95e4d79ull},
+    {Proto::odafs_wb, Faults::adversarial, 5, 0xd00118db525bda19ull},
+    {Proto::odafs_wb, Faults::adversarial, 6, 0x912c4975b6522929ull},
+    {Proto::odafs_wb, Faults::adversarial, 7, 0x5c317e31c5b6cd9aull},
+    {Proto::odafs_wb, Faults::adversarial, 8, 0x66e0e5374ab148ebull},
+    {Proto::odafs_wb, Faults::brutal, 11, 0x3dcd0d9788510b5aull},
+    {Proto::odafs_wb, Faults::brutal, 12, 0x40c5ef5a2cb9102dull},
+    {Proto::odafs_wb, Faults::brutal, 13, 0x0a74b3ea8ab8e911ull},
+    {Proto::odafs_wb, Faults::brutal, 14, 0x5f2f4440022eaf6cull},
+    {Proto::odafs_policy, Faults::adversarial, 1, 0x0dfd2a24043dd767ull},
+    {Proto::odafs_policy, Faults::adversarial, 2, 0xf46a116aa05049c0ull},
+    {Proto::odafs_policy, Faults::adversarial, 3, 0x3f1d13e6519833c5ull},
+    {Proto::odafs_policy, Faults::adversarial, 4, 0xa278b1817cc46008ull},
+    {Proto::odafs_policy, Faults::adversarial, 5, 0x40bcf89070ea0443ull},
+    {Proto::odafs_policy, Faults::adversarial, 6, 0x1787966990a6f584ull},
+    {Proto::odafs_policy, Faults::adversarial, 7, 0x24ad058903fb11d5ull},
+    {Proto::odafs_policy, Faults::adversarial, 8, 0x4fe8cf507fc14f77ull},
+    {Proto::odafs_policy, Faults::brutal, 11, 0x59bfb256e2ebcb1cull},
+    {Proto::odafs_policy, Faults::brutal, 12, 0x2cfc0d8f48071b0full},
+    {Proto::odafs_policy, Faults::brutal, 13, 0x37baacf251b0cb29ull},
+    {Proto::odafs_policy, Faults::brutal, 14, 0x6a5a16c4afe7b86dull},
+};
+
+TEST(Torture, GoldenHashesArePinned) {
+  run::ParallelRunner runner(run::env_jobs_named("TORTURE_JOBS"));
+  auto results = runner.map(std::size(kGoldenRuns), [](std::size_t i) {
+    mem::ScopedSimArena arena;
+    TortureOptions opt;
+    opt.proto = kGoldenRuns[i].proto;
+    opt.faults = kGoldenRuns[i].faults;
+    opt.seed = kGoldenRuns[i].seed;
+    opt.verify = opt.faults != Faults::brutal;
+    return run_torture(opt);
+  });
+  for (std::size_t i = 0; i < std::size(kGoldenRuns); ++i) {
+    const GoldenRun& g = kGoldenRuns[i];
+    EXPECT_TRUE(results[i].completed) << proto_name(g.proto);
+    EXPECT_EQ(results[i].hash, g.hash)
+        << proto_name(g.proto)
+        << (g.faults == Faults::brutal ? " brutal" : " adversarial")
+        << " seed " << g.seed << ": got 0x" << std::hex << results[i].hash;
   }
 }
 
