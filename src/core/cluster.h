@@ -166,6 +166,8 @@ class Cluster {
         {"nic/ordma_faults", [](auto& h) { return h.nic().ordma_faults(); }},
         {"nic/ordma_timeouts",
          [](auto& h) { return h.nic().ordma_timeouts(); }},
+        {"nic/reassembly_copies",
+         [](auto& h) { return h.nic().reassembly_copies(); }},
         {"nic/rx_queue", [](auto& h) { return h.nic().rx_backlog(); }, false},
     };
     static constexpr obs::Stat<fs::ServerFs> kServerFs[] = {

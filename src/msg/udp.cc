@@ -1,7 +1,6 @@
 #include "msg/udp.h"
 
 #include <array>
-#include <cstring>
 
 namespace ordma::msg {
 
@@ -63,15 +62,14 @@ sim::Task<void> UdpStack::Socket::send_to(net::NodeId dst,
                     {copy_cost, "byte/copy"},
                 }});
 
-  // Real UDP header in front of the payload (pooled buffer, filled in
-  // place — no per-datagram heap allocation in steady state).
-  net::Buffer dgram = net::Buffer::alloc(total);
+  // Real UDP header, written in front of the payload where it lies; the
+  // payload is copied only when another view shares it (a reply kept for
+  // replay, a call kept for retransmission).
+  net::Buffer dgram = net::Buffer::with_front(std::move(payload), kUdpHeader);
   const auto w = dgram.mutable_view();
   put_u16(w, 0, port_);
   put_u16(w, 2, dst_port);
   put_u32(w, 4, static_cast<std::uint32_t>(total));
-  const auto v = payload.view();
-  if (!v.empty()) std::memcpy(w.data() + kUdpHeader, v.data(), v.size());
 
   // Hand to the NIC; wire serialisation proceeds without the host CPU.
   host.engine().spawn(stack_.nic_.eth_send(

@@ -171,9 +171,10 @@ sim::Task<Result<DafsReadResult>> DafsClient::read_inline(std::uint64_t fh,
   out.data_cksum = dec.u32();
   const std::uint32_t ref_count = dec.u32();
   decode_refs(dec, ref_count, out);
-  const auto data = dec.rest();
-  if (!dec.ok() || data.size() < out.n) co_return Errc::io_error;
-  out.inline_data = net::Buffer::copy_of(data.subspan(0, out.n));
+  if (!dec.ok() || dec.remaining() < out.n) co_return Errc::io_error;
+  // The data follows the refs; hand out a view of the reply, not a copy.
+  const Bytes at = reply.value().size() - dec.remaining();
+  out.inline_data = reply.value().slice(at, out.n);
   co_return out;
 }
 

@@ -2,17 +2,26 @@
 //
 // Payload bytes are held in shared immutable buffers; fragments are
 // zero-copy views (offset/length) into the message buffer, exactly like a
-// NIC DMA-ing out of one host buffer. Header bytes are modelled as wire
-// overhead (they cost bandwidth) without being materialised — protocol
-// *contents* that matter (RPC headers) are real marshalled bytes inside the
-// payload.
+// NIC DMA-ing out of one host buffer, and a receiving NIC joins in-order
+// fragments back into one view (nic/reassembly.h). Link-level header bytes
+// are modelled as wire overhead (they cost bandwidth) without being
+// materialised — protocol *contents* that matter (UDP and RPC headers) are
+// real marshalled bytes inside the payload.
+//
+// Headers are written in front of the payload rather than the payload
+// copied in behind them: every rep keeps Buffer::kHeadroom free bytes in
+// front of the data alloc(), copy_of() and BufferBuilder make, and a view
+// that no other view shares may grow into them (Buffer::prepend). A layer
+// copies only when another view shares the bytes (Buffer::with_front).
 //
 // Buffer backing store is pooled: each Buffer points at a manually
 // refcounted Rep (the simulation is single-threaded, so the count is a
 // plain integer — no shared_ptr atomics), and Reps whose last reference
 // dies return to a free list with their byte capacity intact. Hot paths
 // allocate with Buffer::alloc(n), fill through mutable_view(), and reach
-// steady state with zero heap allocations per packet.
+// steady state with zero heap allocations per packet. Under AddressSanitizer
+// an idle rep's bytes are poisoned, so a view or span that outlives its rep
+// faults instead of reading whichever message the rep carries next.
 #pragma once
 
 #include <cstddef>
@@ -27,6 +36,10 @@
 #include "common/assert.h"
 #include "common/units.h"
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
+
 namespace ordma::net {
 
 using NodeId = std::uint32_t;
@@ -37,6 +50,11 @@ class Buffer {
   friend class BufferBuilder;
 
  public:
+  // Free bytes in front of the data of every buffer alloc(), copy_of() and
+  // BufferBuilder make: room for an RPC reply header and a few result words
+  // (rpc/rpc.h) plus the UDP header (msg/udp.h).
+  static constexpr std::size_t kHeadroom = 64;
+
   Buffer() = default;
   ~Buffer() { unref(); }
 
@@ -71,16 +89,18 @@ class Buffer {
   // mutable_view() before sharing. The allocation-free hot path.
   static Buffer alloc(std::size_t len) {
     Buffer b;
-    b.rep_ = Pool::instance().acquire(len);
+    b.rep_ = Pool::instance().acquire(kHeadroom + len);
+    b.off_ = kHeadroom;
     b.len_ = len;
     return b;
   }
 
   static Buffer copy_of(std::span<const std::byte> data) {
-    Buffer b = alloc(data.size());
-    if (!data.empty()) {
-      std::memcpy(b.rep_->bytes.data(), data.data(), data.size());
-    }
+    Buffer b;
+    b.rep_ = Pool::instance().acquire(kHeadroom);
+    b.rep_->bytes.insert(b.rep_->bytes.end(), data.begin(), data.end());
+    b.off_ = kHeadroom;
+    b.len_ = data.size();
     return b;
   }
 
@@ -92,6 +112,18 @@ class Buffer {
     return b;
   }
 
+  // `body` grown `n` bytes to the front, for the caller to fill through
+  // mutable_view(): in place when body.prepend(n) allows it, otherwise a
+  // fresh buffer with body's bytes copied in behind n zeroed ones — the one
+  // copy a header costs, paid only when another view shares the body (a
+  // reply kept for replay, a call kept for retransmission).
+  static Buffer with_front(Buffer body, std::size_t n) {
+    if (body.prepend(n)) return body;
+    Buffer out = alloc(n + body.size());
+    if (!body.empty()) std::memcpy(out.data() + n, body.data(), body.size());
+    return out;
+  }
+
   Buffer slice(std::size_t offset, std::size_t len) const {
     ORDMA_CHECK(offset <= len_ && len <= len_ - offset);
     Buffer b = *this;
@@ -100,9 +132,30 @@ class Buffer {
     return b;
   }
 
+  // Grow this view `n` bytes to the front, into its rep's headroom. Refused
+  // (false, view unchanged) unless this is the rep's only view — so no
+  // other view sees bytes change — and n bytes of headroom are left. The
+  // grown bytes hold whatever the rep held there; the caller overwrites
+  // them.
+  bool prepend(std::size_t n) {
+    if (!rep_ || rep_->refs != 1 || off_ < n) return false;
+    off_ -= n;
+    len_ += n;
+    return true;
+  }
+
+  // Extend this view over `next` when `next` continues it in the same rep,
+  // as the in-order fragments of one sent buffer do. False (both views
+  // unchanged) otherwise.
+  bool extend(const Buffer& next) {
+    if (!rep_ || rep_ != next.rep_ || off_ + len_ != next.off_) return false;
+    len_ += next.len_;
+    return true;
+  }
+
   std::span<const std::byte> view() const {
     if (!rep_) return {};
-    return std::span<const std::byte>(rep_->bytes.data() + off_, len_);
+    return std::span<const std::byte>(data(), len_);
   }
 
   // Writable access; only valid while this Buffer is the sole reference
@@ -110,7 +163,7 @@ class Buffer {
   std::span<std::byte> mutable_view() {
     if (!rep_) return {};
     ORDMA_CHECK_MSG(rep_->refs == 1, "Buffer::mutable_view on shared buffer");
-    return std::span<std::byte>(rep_->bytes.data() + off_, len_);
+    return std::span<std::byte>(data(), len_);
   }
 
   std::size_t size() const { return len_; }
@@ -154,6 +207,7 @@ class Buffer {
       free_ = r->next_free;
       --free_count_;
       r->next_free = nullptr;
+      set_idle(*r, false);
       r->bytes.clear();
       r->refs = 1;
       return r;
@@ -165,12 +219,14 @@ class Buffer {
       if (free_count_ >= kMaxFree) {
         r->bytes = std::vector<std::byte>();
       }
+      set_idle(*r, true);
       r->next_free = free_;
       free_ = r;
       ++free_count_;
     }
     void release_capacity() {
       for (Rep* r = free_; r != nullptr; r = r->next_free) {
+        set_idle(*r, false);
         r->bytes = std::vector<std::byte>();
       }
     }
@@ -178,6 +234,22 @@ class Buffer {
    private:
     static constexpr std::size_t kMaxFree = 4096;
     static constexpr std::size_t kSlabReps = 64;
+
+    // Under AddressSanitizer, poison an idle rep's whole capacity and
+    // unpoison it when the rep is drawn again; a no-op otherwise.
+    static void set_idle(Rep& r, bool idle) {
+#if defined(__SANITIZE_ADDRESS__)
+      if (r.bytes.capacity() == 0) return;
+      if (idle) {
+        ASAN_POISON_MEMORY_REGION(r.bytes.data(), r.bytes.capacity());
+      } else {
+        ASAN_UNPOISON_MEMORY_REGION(r.bytes.data(), r.bytes.capacity());
+      }
+#else
+      (void)r;
+      (void)idle;
+#endif
+    }
 
     void grow() {
       slabs_.push_back(std::make_unique<Rep[]>(kSlabReps));
@@ -194,6 +266,8 @@ class Buffer {
     std::vector<std::unique_ptr<Rep[]>> slabs_;
   };
 
+  std::byte* data() const { return rep_->bytes.data() + off_; }
+
   void unref() {
     if (rep_ && --rep_->refs == 0) Pool::instance().release(rep_);
   }
@@ -203,35 +277,52 @@ class Buffer {
   std::size_t len_ = 0;
 };
 
-// Build a Buffer's bytes in place inside a pooled rep. The rep's vector
-// keeps the capacity from its previous life, so steady-state message
-// encoding (rpc/xdr.h XdrEncoder) allocates nothing, and finish() is
-// zero-copy: the built bytes *are* the buffer. The previous encoder path
-// (grow a fresh std::vector, move it into a rep with Buffer::take) paid a
-// malloc for the vector and a free for the rep's displaced capacity on
-// every message.
+// Build a Buffer's bytes in place inside a pooled rep, behind the rep's
+// headroom. The rep's vector keeps the capacity from its previous life, so
+// steady-state message encoding (rpc/xdr.h XdrEncoder) allocates nothing,
+// and finish() is zero-copy: the built bytes *are* the buffer. The previous
+// encoder path (grow a fresh std::vector, move it into a rep with
+// Buffer::take) paid a malloc for the vector and a free for the rep's
+// displaced capacity on every message.
 class BufferBuilder {
  public:
-  BufferBuilder() { b_.rep_ = Buffer::Pool::instance().acquire_empty(); }
+  BufferBuilder() {
+    b_.rep_ = Buffer::Pool::instance().acquire(Buffer::kHeadroom);
+    b_.off_ = Buffer::kHeadroom;
+  }
   BufferBuilder(BufferBuilder&&) noexcept = default;
   BufferBuilder& operator=(BufferBuilder&&) noexcept = default;
 
-  // Append storage. Only valid while the builder still owns its rep (i.e.
-  // before finish()/take()).
-  std::vector<std::byte>& bytes() { return b_.rep_->bytes; }
-  const std::vector<std::byte>& bytes() const { return b_.rep_->bytes; }
+  // Append. Only valid while the builder still owns its rep (i.e. before
+  // finish()/take()). grow(n) returns the n new bytes for writing.
+  std::byte* grow(std::size_t n) {
+    auto& b = b_.rep_->bytes;
+    const std::size_t at = b.size();
+    b.resize(at + n);
+    return b.data() + at;
+  }
+  void append(std::span<const std::byte> data) {
+    auto& b = b_.rep_->bytes;
+    b.insert(b.end(), data.begin(), data.end());
+  }
+
+  // The bytes built so far.
+  std::size_t size() const { return b_.rep_->bytes.size() - b_.off_; }
+  std::span<const std::byte> view() const {
+    return std::span<const std::byte>(b_.rep_->bytes).subspan(b_.off_);
+  }
 
   // Stamp the length and hand the buffer over; the builder is empty after.
   Buffer finish() {
-    b_.len_ = b_.rep_->bytes.size();
+    b_.len_ = size();
     return std::move(b_);
   }
 
-  // Move the raw bytes out (for callers that splice them into another
-  // message); the rep returns to the pool without its capacity.
+  // Copy the built bytes out (for callers that want a plain vector); the
+  // rep returns to the pool with its capacity.
   std::vector<std::byte> take() {
-    std::vector<std::byte> out = std::move(b_.rep_->bytes);
-    b_.rep_->bytes.clear();
+    const auto v = view();
+    std::vector<std::byte> out(v.begin(), v.end());
     b_ = Buffer();
     return out;
   }

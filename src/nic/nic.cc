@@ -219,43 +219,36 @@ sim::Task<void> Nic::rx_loop() {
   }
 }
 
+net::Buffer Nic::take_message(Reassembly& r) {
+  if (r.copied()) ++reassembly_copies_;
+  return r.take();
+}
+
 sim::Task<void> Nic::handle_gm_data(net::Packet p) {
   const auto ctrl = p.ctrl.get<GmCtrl>();
   const RxKey key{p.src, p.msg_id};
-  auto& tr = gm_rx_received_[key];
-  if (tr.seen.empty()) tr.seen.resize(p.frag_count, false);
-  if (p.frag_index >= tr.seen.size() || tr.seen[p.frag_index]) {
-    co_return;  // duplicated fragment: already placed
-  }
-  tr.seen[p.frag_index] = true;
-  auto& buf = gm_rx_[key];
-  if (buf.size() != p.msg_total) buf = net::Buffer::alloc(p.msg_total);
-
+  Reassembly& r = gm_rx_[key];
+  if (!r.admit(p)) co_return;  // duplicated fragment: already placed
   if (!p.payload.empty()) {
     // into host receive buffer
     co_await dma_transfer(p.payload.size(), p.trace_op);
-    const auto v = p.payload.view();
-    const Bytes off = static_cast<Bytes>(p.frag_index) * cm_.gm_mtu;
-    std::copy(v.begin(), v.end(), buf.mutable_view().begin() + off);
+    r.place(static_cast<Bytes>(p.frag_index) * cm_.gm_mtu, p.payload);
   }
-  auto& got = gm_rx_received_[key].got;
-  got += 1;
-  if (got == p.frag_count) {
-    GmMessage msg;
-    msg.src = p.src;
-    msg.user_tag = ctrl.user_tag;
-    msg.data = std::move(buf);
-    msg.trace_op = p.trace_op;
-    gm_rx_.erase(key);
-    gm_rx_received_.erase(key);
-    obs::flow(fw_.trace_track(), p.trace_op, "gm_deliver", eng_.now());
-    auto it = ports_.find(ctrl.port);
-    if (it != ports_.end()) {
-      it->second->send(std::move(msg));
-    } else {
-      ORDMA_LOG_ERROR("nic", "%s: GM message to closed port %u dropped",
-                      host_.name().c_str(), ctrl.port);
-    }
+  if (!r.complete()) co_return;
+
+  GmMessage msg;
+  msg.src = p.src;
+  msg.user_tag = ctrl.user_tag;
+  msg.data = take_message(r);
+  msg.trace_op = p.trace_op;
+  gm_rx_.erase(key);
+  obs::flow(fw_.trace_track(), p.trace_op, "gm_deliver", eng_.now());
+  auto it = ports_.find(ctrl.port);
+  if (it != ports_.end()) {
+    it->second->send(std::move(msg));
+  } else {
+    ORDMA_LOG_ERROR("nic", "%s: GM message to closed port %u dropped",
+                    host_.name().c_str(), ctrl.port);
   }
 }
 
@@ -339,7 +332,7 @@ sim::Task<Result<std::vector<Nic::PageRun>>> Nic::resolve_ordma(
     // RPC write).
     if (write && faults_->spurious_put_revoke()) co_return Errc::revoked;
     if (faults_->spurious_tlb_invalidate()) {
-      for (const auto& e : tlb_.invalidate_segment(seg->id)) unpin_evicted(e);
+      for (const auto& e : tlb_.invalidate_segment(*seg)) unpin_evicted(e);
     }
   }
 
@@ -439,29 +432,18 @@ sim::Task<void> Nic::service_get(net::Packet p) {
 sim::Task<void> Nic::handle_put_req(net::Packet p) {
   const auto ctrl = p.ctrl.get<GmCtrl>();
   const RxKey key{p.src, p.msg_id};
-  auto& tr = gm_rx_received_[key];
-  if (tr.seen.empty()) tr.seen.resize(p.frag_count, false);
-  if (p.frag_index >= tr.seen.size() || tr.seen[p.frag_index]) {
-    co_return;  // duplicated fragment: already placed
-  }
-  tr.seen[p.frag_index] = true;
-  auto& buf = gm_rx_[key];
-  if (buf.size() != p.msg_total) buf = net::Buffer::alloc(p.msg_total);
+  Reassembly& r = gm_rx_[key];
+  if (!r.admit(p)) co_return;  // duplicated fragment: already placed
   if (!p.payload.empty()) {
     // Each fragment is DMA'd towards host memory as it arrives, so the
     // bulk transfer overlaps with reception of later fragments.
     co_await dma_transfer(p.payload.size(), p.trace_op);
-    const auto v = p.payload.view();
-    const Bytes off = static_cast<Bytes>(p.frag_index) * cm_.gm_mtu;
-    std::copy(v.begin(), v.end(), buf.mutable_view().begin() + off);
+    r.place(static_cast<Bytes>(p.frag_index) * cm_.gm_mtu, p.payload);
   }
-  auto& got = gm_rx_received_[key].got;
-  got += 1;
-  if (got != p.frag_count) co_return;
+  if (!r.complete()) co_return;
 
-  net::Buffer data = std::move(buf);
+  net::Buffer data = take_message(r);
   gm_rx_.erase(key);
-  gm_rx_received_.erase(key);
 
   // A duplicated frame arriving after the tracker above was erased would
   // reassemble the whole message again (single-fragment puts trivially so)
@@ -533,32 +515,19 @@ sim::Task<void> Nic::handle_get_reply(net::Packet p) {
     it->second->done.set(Result<net::Buffer>(ctrl.fault));
     co_return;
   }
-  {
-    PendingOp& op = *it->second;
-    if (op.reassembly.size() != p.msg_total) {
-      op.reassembly = net::Buffer::alloc(p.msg_total);
-    }
-    if (op.frag_seen.empty()) op.frag_seen.resize(p.frag_count, false);
-    if (p.frag_index >= op.frag_seen.size() || op.frag_seen[p.frag_index]) {
-      co_return;  // duplicated fragment
-    }
-    op.frag_seen[p.frag_index] = true;
-  }
+  if (!it->second->reply.admit(p)) co_return;  // duplicated fragment
   if (!p.payload.empty()) {
     // Fragments are DMA'd into the initiator's buffer as they arrive.
     co_await dma_transfer(p.payload.size(), p.trace_op);
     // The initiator may have timed out and erased the op while we DMA'd.
     it = pending_.find(ctrl.op_id);
     if (it == pending_.end()) co_return;
-    const auto v = p.payload.view();
-    const Bytes off = static_cast<Bytes>(p.frag_index) * cm_.gm_mtu;
-    std::copy(v.begin(), v.end(),
-              it->second->reassembly.mutable_view().begin() + off);
+    it->second->reply.place(static_cast<Bytes>(p.frag_index) * cm_.gm_mtu,
+                            p.payload);
   }
   PendingOp& op = *it->second;
-  op.received += 1;
-  if (op.received == p.frag_count) {
-    op.done.set(Result<net::Buffer>(std::move(op.reassembly)));
+  if (op.reply.complete()) {
+    op.done.set(Result<net::Buffer>(take_message(op.reply)));
   }
 }
 
@@ -621,7 +590,9 @@ Result<crypto::Capability> Nic::export_segment(mem::AddressSpace& as,
 void Nic::revoke_segment(std::uint64_t seg_id) {
   host_.flight().record(eng_.now().ns, obs::flight::Ev::nic_cap_revoke,
                         seg_id);
-  for (const auto& e : tlb_.invalidate_segment(seg_id)) unpin_evicted(e);
+  if (const Segment* seg = tpt_.find_segment(seg_id)) {
+    for (const auto& e : tlb_.invalidate_segment(*seg)) unpin_evicted(e);
+  }
   tpt_.remove(seg_id);
   // A put into a revoked segment can never commit: drop its record so a
   // commit racing the revocation is rejected instead of blessing bytes
@@ -648,6 +619,11 @@ sim::Task<void> Nic::eth_send(net::NodeId dst, net::Buffer dgram,
   const Bytes mtu = cm_.eth_mtu;
   const std::uint32_t nfrags =
       total == 0 ? 1 : static_cast<std::uint32_t>((total + mtu - 1) / mtu);
+  // A receiver delivers the bytes in front of the bulk as the datagram's
+  // headers (handle_eth), so nothing may follow the bulk.
+  ORDMA_CHECK_MSG(rddp_data_len == 0 ||
+                      rddp_data_offset + rddp_data_len == total,
+                  "RDDP bulk must end the datagram");
 
   obs::flow(fw_.trace_track(), trace_op, "eth_send", eng_.now());
   for (std::uint32_t i = 0; i < nfrags; ++i) {
@@ -690,9 +666,9 @@ void Nic::cancel_prepost(std::uint32_t xid) { preposts_.erase(xid); }
 sim::Task<void> Nic::handle_eth(net::Packet p) {
   const auto ctrl = p.ctrl.get<EthCtrl>();
   const RxKey key{p.src, p.msg_id};
-  auto& r = eth_rx_[key];
-  if (r.bytes.size() != p.msg_total) {
-    r.bytes = net::Buffer::alloc(p.msg_total);
+  auto [slot, first] = eth_rx_.try_emplace(key);
+  EthReassembly& r = slot->second;
+  if (first) {
     r.rddp_xid = ctrl.rddp_xid;
     r.rddp_data_len = ctrl.rddp_data_len;
     // Header splitting is active iff a matching buffer was pre-posted.
@@ -703,34 +679,26 @@ sim::Task<void> Nic::handle_eth(net::Packet p) {
       }
     }
   }
-  if (r.frag_seen.empty()) r.frag_seen.resize(p.frag_count, false);
-  if (p.frag_index >= r.frag_seen.size() || r.frag_seen[p.frag_index]) {
-    co_return;  // duplicated fragment: already accounted
-  }
-  r.frag_seen[p.frag_index] = true;
+  if (!r.rx.admit(p)) co_return;  // duplicated fragment: already accounted
 
-  const auto v = p.payload.view();
-  if (!v.empty()) {
+  if (!p.payload.empty()) {
     const Bytes frag_start = ctrl.frag_offset;
-    const Bytes frag_end = frag_start + v.size();
-    const Bytes data_start = ctrl.rddp_data_offset;
-    const Bytes data_end = data_start + ctrl.rddp_data_len;
-
+    const Bytes frag_end = frag_start + p.payload.size();
     if (r.rddp_active) {
-      // Split the fragment into up to three disjoint pieces relative to the
-      // bulk-data window [data_start, data_end): head (headers before the
-      // data), body (data → pre-posted buffer), tail (trailer after it).
-      const Bytes head_end = std::min(frag_end, data_start);
-      if (head_end > frag_start) {
-        const Bytes n = head_end - frag_start;
+      // Split the fragment where the bulk data starts: the head (headers)
+      // goes to the host stack, the body (data, which runs to the end of
+      // the datagram — eth_send checks) to the pre-posted buffer.
+      const Bytes data_start = ctrl.rddp_data_offset;
+      if (data_start > frag_start) {
+        const Bytes n = std::min(frag_end, data_start) - frag_start;
         co_await dma_transfer(n, p.trace_op);
-        std::copy(v.begin(), v.begin() + n,
-                  r.bytes.mutable_view().begin() + frag_start);
+        r.rx.place(frag_start, p.payload.slice(0, n));
       }
       const Bytes body_start = std::max(frag_start, data_start);
-      const Bytes body_end = std::min(frag_end, data_end);
-      if (body_end > body_start) {
-        const Bytes n = body_end - body_start;
+      if (frag_end > body_start) {
+        const Bytes n = frag_end - body_start;
+        const net::Buffer body =
+            p.payload.slice(body_start - frag_start, n);
         co_await dma_transfer(n, p.trace_op);  // placement into user buffer
         auto pit = preposts_.find(ctrl.rddp_xid);
         if (pit == preposts_.end()) {
@@ -739,52 +707,35 @@ sim::Task<void> Nic::handle_eth(net::Packet p) {
           // with holes where already-placed bytes went, and the end-to-end
           // RPC checksum rejects it.
           r.rddp_active = false;
-          std::copy(v.begin() + (body_start - frag_start),
-                    v.begin() + (body_end - frag_start),
-                    r.bytes.mutable_view().begin() + body_start);
+          r.rx.place(body_start, body);
         } else {
-          const Status st =
-              pit->second.as->write(pit->second.va + (body_start - data_start),
-                                    v.subspan(body_start - frag_start, n));
+          const Status st = pit->second.as->write(
+              pit->second.va + (body_start - data_start), body.view());
           ORDMA_CHECK_MSG(st.ok(), "pre-posted buffer not writable");
-          r.placed += n;
         }
       }
-      const Bytes tail_start = std::max(frag_start, data_end);
-      if (frag_end > tail_start) {
-        const Bytes n = frag_end - tail_start;
-        co_await dma_transfer(n, p.trace_op);
-        std::copy(v.begin() + (tail_start - frag_start), v.end(),
-                  r.bytes.mutable_view().begin() + tail_start);
-      }
     } else {
-      co_await dma_transfer(v.size(), p.trace_op);
-      std::copy(v.begin(), v.end(),
-                r.bytes.mutable_view().begin() + frag_start);
+      co_await dma_transfer(p.payload.size(), p.trace_op);
+      r.rx.place(frag_start, p.payload);
     }
-    r.received += v.size();
   }
+  if (!r.rx.complete()) co_return;
 
-  if (r.received == p.msg_total) {
-    EthDatagram d;
-    d.src = p.src;
-    d.trace_op = p.trace_op;
-    d.rddp_xid = r.rddp_xid;
-    d.rddp_placed = r.rddp_active;
-    d.rddp_data_len = r.rddp_active ? r.rddp_data_len : 0;
-    if (r.rddp_active) {
-      preposts_.erase(r.rddp_xid);
-      // Deliver only the header bytes (the payload was placed directly);
-      // a zero-copy view suffices — the rep is recycled when it drops.
-      const Bytes hdr = p.msg_total - r.rddp_data_len;
-      d.data = r.bytes.slice(0, hdr);
-    } else {
-      d.data = std::move(r.bytes);
-    }
-    eth_rx_.erase(key);
-    eth_pending_.push_back(std::move(d));
-    raise_eth_interrupt();
+  EthDatagram d;
+  d.src = p.src;
+  d.trace_op = p.trace_op;
+  d.rddp_xid = r.rddp_xid;
+  d.rddp_placed = r.rddp_active;
+  d.rddp_data_len = r.rddp_active ? r.rddp_data_len : 0;
+  d.data = take_message(r.rx);
+  if (r.rddp_active) {
+    preposts_.erase(r.rddp_xid);
+    // Deliver only the header bytes (the payload was placed directly).
+    d.data = d.data.slice(0, p.msg_total - r.rddp_data_len);
   }
+  eth_rx_.erase(key);
+  eth_pending_.push_back(std::move(d));
+  raise_eth_interrupt();
 }
 
 void Nic::raise_eth_interrupt() {

@@ -29,6 +29,7 @@
 #include "host/host.h"
 #include "mem/address_space.h"
 #include "net/fabric.h"
+#include "nic/reassembly.h"
 #include "nic/tpt.h"
 #include "nic/wire.h"
 #include "sim/channel.h"
@@ -159,7 +160,8 @@ class Nic {
 
   // Transmit a datagram; the NIC fragments at the Ethernet MTU. The
   // rddp_* fields describe where bulk data lies inside the datagram so a
-  // pre-posting receiver NIC can split it out (zero for ordinary traffic).
+  // pre-posting receiver NIC can split it out (zero for ordinary traffic);
+  // the bulk must run to the end of the datagram.
   sim::Task<void> eth_send(net::NodeId dst, net::Buffer dgram,
                            std::uint32_t rddp_xid = 0,
                            Bytes rddp_data_offset = 0,
@@ -187,6 +189,10 @@ class Nic {
   // duplicated frame arriving after reassembly completed must not re-apply
   // stale bytes over newer data.
   std::uint64_t put_dups_dropped() const { return put_dups_dropped_; }
+  // Inbound messages whose fragments could not be joined in place and were
+  // copied into a fresh buffer (nic/reassembly.h): zero unless fragments
+  // arrive out of order or damaged.
+  std::uint64_t reassembly_copies() const { return reassembly_copies_; }
   Duration fw_busy() { return fw_.busy_time(); }
   // Packets delivered by the fabric and not yet pulled by the firmware
   // loop — the instantaneous receive queue depth a time-series sampler
@@ -197,19 +203,14 @@ class Nic {
   struct PendingOp {
     explicit PendingOp(sim::Engine& eng) : done(eng) {}
     sim::Event<Result<net::Buffer>> done;  // get: data; put: empty buffer
-    net::Buffer reassembly;  // pooled; filled in place as fragments arrive
-    Bytes received = 0;
-    std::vector<bool> frag_seen;  // per-fragment dedup (links may duplicate)
+    Reassembly reply;                      // get data as it arrives
   };
 
   struct EthReassembly {
-    net::Buffer bytes;  // header (+payload unless RDDP-placed)
-    Bytes received = 0;
-    Bytes placed = 0;
+    Reassembly rx;  // header (+payload unless RDDP-placed)
     bool rddp_active = false;
     std::uint32_t rddp_xid = 0;
     Bytes rddp_data_len = 0;
-    std::vector<bool> frag_seen;  // per-fragment dedup
   };
 
   struct PrepostEntry {
@@ -267,6 +268,9 @@ class Nic {
 
   void raise_eth_interrupt();
 
+  // A complete message out of its reassembly, counted if it was copied.
+  net::Buffer take_message(Reassembly& r);
+
   host::Host& host_;
   net::Fabric& fabric_;
   NicConfig cfg_;
@@ -296,15 +300,8 @@ class Nic {
                                         k.msg_id);
     }
   };
-  // Reassembly progress for an inbound GM message: fragment count plus a
-  // per-fragment bitmap so a duplicated frame cannot complete a message
-  // that still has holes.
-  struct FragTracker {
-    Bytes got = 0;
-    std::vector<bool> seen;
-  };
-  std::unordered_map<RxKey, net::Buffer, RxKeyHash> gm_rx_;
-  std::unordered_map<RxKey, FragTracker, RxKeyHash> gm_rx_received_;
+  // Inbound GM messages and put data being reassembled.
+  std::unordered_map<RxKey, Reassembly, RxKeyHash> gm_rx_;
 
   // Export
   Tpt tpt_;
@@ -336,6 +333,7 @@ class Nic {
   std::uint64_t ordma_timeouts_ = 0;
   std::uint64_t puts_served_ = 0;
   std::uint64_t put_dups_dropped_ = 0;
+  std::uint64_t reassembly_copies_ = 0;
 };
 
 }  // namespace ordma::nic

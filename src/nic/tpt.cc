@@ -76,16 +76,17 @@ std::optional<NicTlb::Entry> NicTlb::insert(const Entry& e) {
   return evicted;
 }
 
-std::vector<NicTlb::Entry> NicTlb::invalidate_segment(std::uint64_t seg_id) {
+std::vector<NicTlb::Entry> NicTlb::invalidate_segment(const Segment& seg) {
   std::vector<Entry> out;
-  std::vector<Entry*> victims;
-  lru_.for_each([&](Entry* e) {
-    if (e->seg_id == seg_id) victims.push_back(e);
-  });
-  for (Entry* e : victims) {
+  const mem::Vpn first = mem::page_of(seg.nic_va);
+  const auto pages = (seg.len + mem::kPageSize - 1) / mem::kPageSize;
+  for (mem::Vpn vpn = first; vpn < first + pages; ++vpn) {
+    auto it = map_.find(vpn);
+    if (it == map_.end() || it->second->seg_id != seg.id) continue;
+    Entry* e = it->second;
     out.push_back(*e);
     lru_.erase(e);
-    map_.erase(e->nic_vpn);
+    map_.erase(it);
     delete e;
   }
   return out;

@@ -78,7 +78,9 @@ class NicTlb {
   std::optional<Entry> insert(const Entry& e);
 
   // Drop all entries belonging to a segment; returns them for unpinning.
-  std::vector<Entry> invalidate_segment(std::uint64_t seg_id);
+  // Looks up only the segment's own pages, without touching LRU order or
+  // hit counts.
+  std::vector<Entry> invalidate_segment(const Segment& seg);
 
   std::size_t size() const { return map_.size(); }
   std::size_t capacity() const { return capacity_; }

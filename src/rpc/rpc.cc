@@ -24,11 +24,19 @@ void put_u32_at(std::span<std::byte> w, Bytes off, std::uint32_t x) {
   }
 }
 
-// Finish an encoded message whose cksum word was left zero: compute the
-// end-to-end checksum over everything but the cksum field and stamp it in.
-net::Buffer seal_message(XdrEncoder& enc) {
-  net::Buffer b = enc.finish();
-  auto w = b.mutable_view();
+// Write the RPC header (xid | type | proc or status | trace | cksum) in
+// front of `body`, where it lies unless another view shares it
+// (net::Buffer::with_front), and stamp the end-to-end checksum over
+// everything but the cksum field.
+net::Buffer seal_message(net::Buffer body, std::uint32_t xid,
+                         std::uint32_t type, std::uint32_t word,
+                         std::uint32_t trace) {
+  net::Buffer b = net::Buffer::with_front(std::move(body), kRpcHeaderBytes);
+  const auto w = b.mutable_view();
+  put_u32_at(w, 0, xid);
+  put_u32_at(w, 4, type);
+  put_u32_at(w, 8, word);
+  put_u32_at(w, 12, trace);
   std::uint32_t ck = checksum32(w.first(kRpcCksumOffset));
   ck = checksum32(w.subspan(kRpcHeaderBytes), ck);
   put_u32_at(w, kRpcCksumOffset, ck);
@@ -111,14 +119,9 @@ sim::Task<Result<RpcReplyInfo>> RpcClient::call(net::NodeId server,
     host_.nic().prepost(xid, *prepost->as, prepost->va, prepost->len);
   }
 
-  XdrEncoder enc;
-  enc.u32(xid);
-  enc.u32(kRpcCall);
-  enc.u32(proc);
-  enc.u32(static_cast<std::uint32_t>(trace_op));
-  enc.u32(0);  // cksum, stamped by seal_message
-  enc.raw(args.view());
-  const net::Buffer msg = seal_message(enc);
+  const net::Buffer msg =
+      seal_message(std::move(args), xid, kRpcCall, proc,
+                   static_cast<std::uint32_t>(trace_op));
 
   Retransmit rtx(retry_, host_, rpc_track_, rtx_, xid, trace_op);
   Result<RpcReplyInfo> out = Errc::timed_out;
@@ -288,18 +291,16 @@ sim::Task<void> RpcServer::serve_one(msg::UdpDatagram d) {
   }
   ++served_;
 
-  // Assemble the reply datagram: header | results | bulk.
-  XdrEncoder enc;
-  enc.u32(xid);
-  enc.u32(kRpcReply);
-  enc.u32(reply.status);
-  enc.u32(trace);  // echo the caller's trace context
-  enc.u32(0);      // cksum, stamped by seal_message
-  enc.raw(reply.results.view());
-  const Bytes data_offset = kRpcHeaderBytes + reply.results.size();
+  // Assemble the reply datagram, header | results | bulk, in front of the
+  // bulk where it lies; the header echoes the caller's trace context.
+  const auto results = reply.results.view();
+  const Bytes data_offset = kRpcHeaderBytes + results.size();
   const Bytes data_len = reply.bulk.size();
-  enc.raw(reply.bulk.view());
-  net::Buffer wire = seal_message(enc);
+  net::Buffer body =
+      net::Buffer::with_front(std::move(reply.bulk), results.size());
+  std::copy(results.begin(), results.end(), body.mutable_view().begin());
+  net::Buffer wire =
+      seal_message(std::move(body), xid, kRpcReply, reply.status, trace);
   const std::uint32_t rddp_xid = data_len > 0 ? xid : 0;
 
   // Record the sealed reply before sending so a duplicate arriving during

@@ -50,11 +50,8 @@ inline std::uint32_t to_be32(std::uint32_t x) {
 class XdrEncoder {
  public:
   void u32(std::uint32_t x) {
-    auto& b = bld_.bytes();
-    const std::size_t n = b.size();
-    b.resize(n + 4);
     const std::uint32_t be = detail::to_be32(x);
-    std::memcpy(b.data() + n, &be, 4);
+    std::memcpy(bld_.grow(4), &be, 4);
   }
   void u64(std::uint64_t x) {
     u32(static_cast<std::uint32_t>(x >> 32));
@@ -72,15 +69,12 @@ class XdrEncoder {
   }
   // Raw append without length prefix (for framing payloads whose length is
   // carried elsewhere).
-  void raw(std::span<const std::byte> data) {
-    auto& b = bld_.bytes();
-    b.insert(b.end(), data.begin(), data.end());
-  }
+  void raw(std::span<const std::byte> data) { bld_.append(data); }
 
-  std::size_t size() const { return bld_.bytes().size(); }
+  std::size_t size() const { return bld_.size(); }
   // The bytes encoded so far, for splicing into another message; the
   // storage stays pooled when this encoder dies.
-  std::span<const std::byte> view() const { return bld_.bytes(); }
+  std::span<const std::byte> view() const { return bld_.view(); }
   net::Buffer finish() { return bld_.finish(); }
   std::vector<std::byte> take() { return bld_.take(); }
 

@@ -71,6 +71,43 @@ TEST(NasIntegration, NfsStandardReadsExactBytes) {
   check_read_roundtrip(c, *client, "f", KiB(200) + 123);
 }
 
+TEST(NasIntegration, NfsReadsReassembleInPlace) {
+  // A calm fabric delivers each 64 KB reply's fragments in order, so both
+  // NICs join every message's fragments into one view of the sent buffer.
+  Cluster c;
+  c.start_nfs();
+  drive(c, [&]() -> sim::Task<void> {
+    co_await c.make_file("f", KiB(256), /*warm=*/true);
+  });
+  auto client = c.make_nfs_client(0, KiB(64));
+  check_read_roundtrip(c, *client, "f", KiB(256));
+  EXPECT_EQ(c.client_nic().reassembly_copies(), 0u);
+  EXPECT_EQ(c.server_nic().reassembly_copies(), 0u);
+}
+
+TEST(NasIntegration, DamagedFramesAreReassembledByCopy) {
+  // A frame the fault injector damages arrives as a fresh copy, so its
+  // message cannot be joined in place: the NIC copies it (and counts it),
+  // the RPC checksum rejects the damage, and a retransmission repairs it.
+  fault::FaultPlan plan;  // escaped Ethernet corruption only
+  plan.seed = 7;
+  plan.eth.corrupt = 0.05;
+  plan.eth.corrupt_escape = 1.0;
+  ClusterConfig cc;
+  cc.faults = plan;
+  cc.rpc_retry.timeout = msec(2);
+  cc.rpc_retry.max_attempts = 8;
+  Cluster c(cc);
+  c.start_nfs();
+  drive(c, [&]() -> sim::Task<void> {
+    co_await c.make_file("f", KiB(512), /*warm=*/true);
+  });
+  auto client = c.make_nfs_client(0, KiB(64));
+  check_read_roundtrip(c, *client, "f", KiB(512));
+  EXPECT_GT(c.fault_injector()->frames_corrupted(), 0u);
+  EXPECT_GT(c.client_nic().reassembly_copies(), 0u);
+}
+
 TEST(NasIntegration, NfsPrepostReadsExactBytes) {
   Cluster c;
   c.start_nfs();
@@ -283,6 +320,36 @@ TEST(NasIntegration, OdafsSecondPassUsesOrdma) {
     EXPECT_TRUE(h.user_as().read(buf, got).ok());
     EXPECT_EQ(got, expect);
   });
+}
+
+TEST(NasIntegration, OdafsGetsReassembleInPlace) {
+  ClusterConfig cc;
+  cc.fs.block_size = KiB(4);
+  cc.fs.cache_blocks = 8192;
+  Cluster c(cc);
+  c.start_dafs({.piggyback_refs = true});
+  const Bytes fsize = KiB(256);
+  drive(c, [&]() -> sim::Task<void> {
+    co_await c.make_file("f", fsize, true);
+  });
+  const auto expect = file_pattern(fsize);
+  auto client = c.make_odafs_client(0, small_cache_cfg(true));
+  drive(c, [&]() -> sim::Task<void> {
+    auto open = co_await client->open("f");
+    EXPECT_TRUE(open.ok());
+    auto& h = c.client(0);
+    const mem::Vaddr buf = h.map_new(h.user_as(), fsize);
+    for (int pass = 0; pass < 2; ++pass) {  // RPC fills, then ORDMA gets
+      auto n = co_await client->pread(open.value().fh, 0, buf, fsize);
+      EXPECT_TRUE(n.ok());
+    }
+    std::vector<std::byte> got(fsize);
+    EXPECT_TRUE(h.user_as().read(buf, got).ok());
+    EXPECT_EQ(got, expect);
+  });
+  EXPECT_GT(client->ordma_reads(), 0u);
+  EXPECT_EQ(c.client_nic().reassembly_copies(), 0u);
+  EXPECT_EQ(c.server_nic().reassembly_copies(), 0u);
 }
 
 TEST(NasIntegration, OrdmaIdleServerCpuOnSecondPass) {

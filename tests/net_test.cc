@@ -127,6 +127,126 @@ TEST(Buffer, PoolChurnSurvivesManyLiveBuffers) {
                          data.begin() + 299 % 32));
 }
 
+TEST(Buffer, AllocCopyOfAndBuilderReadBackWhatWasWritten) {
+  // Each maker puts the data behind the rep's headroom; what a view reads
+  // must be exactly what was written, also from reps dirtied by a previous
+  // life in the pool.
+  for (int round = 0; round < 3; ++round) {
+    const auto data = pattern(300, round);
+    {
+      Buffer dirty = Buffer::alloc(400);
+      auto m = dirty.mutable_view();
+      std::fill(m.begin(), m.end(), std::byte{0xee});
+    }
+    Buffer a = Buffer::alloc(data.size());
+    std::copy(data.begin(), data.end(), a.mutable_view().begin());
+    EXPECT_TRUE(std::ranges::equal(a.view(), data));
+
+    const Buffer c = Buffer::copy_of(data);
+    EXPECT_TRUE(std::ranges::equal(c.view(), data));
+
+    BufferBuilder bld;
+    bld.append(std::span(data).first(100));
+    std::copy(data.begin() + 100, data.end(), bld.grow(200));
+    EXPECT_EQ(bld.size(), data.size());
+    EXPECT_TRUE(std::ranges::equal(bld.view(), data));
+    const Buffer f = bld.finish();
+    EXPECT_TRUE(std::ranges::equal(f.view(), data));
+  }
+}
+
+TEST(Buffer, PrependGrowsAnUnsharedViewIntoHeadroom) {
+  const auto data = pattern(100, 3);
+  Buffer b = Buffer::copy_of(data);
+  const std::byte* at = b.view().data();
+  ASSERT_TRUE(b.prepend(8));
+  EXPECT_EQ(b.size(), 108u);
+  EXPECT_EQ(b.view().data() + 8, at);  // grown in place, nothing moved
+  auto w = b.mutable_view();
+  std::fill(w.begin(), w.begin() + 8, std::byte{0xab});
+  EXPECT_TRUE(std::ranges::equal(b.view().subspan(8), data));
+
+  // The rest of the headroom is usable; past it, prepend refuses.
+  ASSERT_TRUE(b.prepend(Buffer::kHeadroom - 8));
+  EXPECT_FALSE(b.prepend(1));
+  EXPECT_EQ(b.size(), Buffer::kHeadroom + 100);
+
+  // A view another view shares may not change under it.
+  Buffer shared = Buffer::copy_of(data);
+  const Buffer other = shared;
+  EXPECT_FALSE(shared.prepend(8));
+  EXPECT_EQ(shared.size(), 100u);
+
+  // A slice left alone by its parent may grow back over the parent's bytes.
+  Buffer tail = Buffer::copy_of(data).slice(20, 80);
+  ASSERT_TRUE(tail.prepend(20));
+  EXPECT_TRUE(std::ranges::equal(tail.view(), data));
+
+  // Buffers that adopt a caller's vector have no headroom.
+  Buffer taken = Buffer::take(data);
+  EXPECT_FALSE(taken.prepend(1));
+  EXPECT_FALSE(Buffer().prepend(0));
+}
+
+TEST(Buffer, WithFrontCopiesOnlyASharedBody) {
+  const auto data = pattern(1000, 4);
+  Buffer body = Buffer::copy_of(data);
+  const std::byte* at = body.view().data();
+  Buffer grown = Buffer::with_front(std::move(body), 24);
+  EXPECT_EQ(grown.view().data() + 24, at);
+  EXPECT_TRUE(std::ranges::equal(grown.view().subspan(24), data));
+
+  Buffer kept = Buffer::copy_of(data);
+  Buffer copy = Buffer::with_front(kept, 24);  // `kept` still views it
+  EXPECT_NE(copy.view().data() + 24, kept.view().data());
+  ASSERT_EQ(copy.size(), 24 + data.size());
+  EXPECT_TRUE(std::ranges::all_of(copy.view().first(24),
+                                  [](std::byte x) { return x == std::byte{0}; }));
+  EXPECT_TRUE(std::ranges::equal(copy.view().subspan(24), data));
+  EXPECT_TRUE(std::ranges::equal(kept.view(), data));
+
+  const Buffer empty = Buffer::with_front(Buffer(), 8);
+  EXPECT_EQ(empty.size(), 8u);
+}
+
+TEST(Buffer, ExtendJoinsOnlyAdjacentViewsOfOneRep) {
+  const auto data = pattern(300, 5);
+  const Buffer whole = Buffer::copy_of(data);
+  Buffer head = whole.slice(0, 100);
+  EXPECT_FALSE(head.extend(whole.slice(150, 50)));  // gap
+  EXPECT_FALSE(head.extend(Buffer::copy_of(std::span(data).subspan(100, 50))));
+  EXPECT_EQ(head.size(), 100u);
+  ASSERT_TRUE(head.extend(whole.slice(100, 150)));
+  ASSERT_TRUE(head.extend(whole.slice(250, 50)));
+  EXPECT_EQ(head.view().data(), whole.view().data());
+  EXPECT_TRUE(std::ranges::equal(head.view(), data));
+}
+
+TEST(Buffer, IdleRepsArePoisonedUnderAsan) {
+#if defined(__SANITIZE_ADDRESS__)
+  const std::byte* p = nullptr;
+  {
+    const Buffer b = Buffer::alloc(256);
+    p = b.view().data();
+    EXPECT_FALSE(__asan_address_is_poisoned(p));
+  }
+  // Idle in the pool: a span that outlived its buffer now faults...
+  EXPECT_TRUE(__asan_address_is_poisoned(p));
+  EXPECT_DEATH(
+      {
+        volatile std::byte x = *p;
+        (void)x;
+      },
+      "use-after-poison");
+  // ...until the pool hands the rep out again (its free list is LIFO).
+  const Buffer again = Buffer::alloc(256);
+  EXPECT_EQ(again.view().data(), p);
+  EXPECT_FALSE(__asan_address_is_poisoned(p));
+#else
+  GTEST_SKIP() << "built without AddressSanitizer";
+#endif
+}
+
 TEST(Link, DeliversAfterSerialisationPlusLatency) {
   sim::Engine eng;
   Link link(eng, MBps(100), usec(5), "l");

@@ -8,6 +8,7 @@
 #include "host/host.h"
 #include "net/fabric.h"
 #include "nic/nic.h"
+#include "nic/reassembly.h"
 #include "sim/engine.h"
 
 namespace ordma::nic {
@@ -19,6 +20,93 @@ std::vector<std::byte> pattern(std::size_t n, int seed = 1) {
     v[i] = static_cast<std::byte>((i * 37 + seed) & 0xff);
   }
   return v;
+}
+
+// Fragment i of `msg` cut at `mtu`, as a sending NIC cuts it: a view of
+// the message buffer.
+net::Packet fragment(const net::Buffer& msg, std::uint32_t i, Bytes mtu) {
+  net::Packet p;
+  p.frag_count = static_cast<std::uint32_t>((msg.size() + mtu - 1) / mtu);
+  p.frag_index = i;
+  p.msg_total = msg.size();
+  const Bytes off = i * mtu;
+  p.payload = msg.slice(off, std::min<Bytes>(mtu, msg.size() - off));
+  return p;
+}
+
+// Feed fragments of `msg` in `order` through one Reassembly, placing each
+// at its offset, and return the delivered message.
+net::Buffer reassemble(Reassembly& r, const net::Buffer& msg, Bytes mtu,
+                       const std::vector<std::uint32_t>& order) {
+  for (std::uint32_t i : order) {
+    const net::Packet p = fragment(msg, i, mtu);
+    if (r.admit(p)) r.place(i * mtu, p.payload);
+  }
+  EXPECT_TRUE(r.complete());
+  return r.take();
+}
+
+TEST(Reassembly, InOrderFragmentsJoinIntoOneViewOfTheSendersBuffer) {
+  const auto data = pattern(10000, 2);
+  const net::Buffer msg = net::Buffer::copy_of(data);
+  Reassembly r;
+  const net::Buffer got = reassemble(r, msg, 4096, {0, 1, 2});
+  EXPECT_FALSE(r.copied());
+  EXPECT_EQ(got.view().data(), msg.view().data());  // no copy made
+  EXPECT_TRUE(std::ranges::equal(got.view(), data));
+}
+
+TEST(Reassembly, DuplicatedFragmentsAreAdmittedOnce) {
+  const auto data = pattern(10000, 3);
+  const net::Buffer msg = net::Buffer::copy_of(data);
+  Reassembly r;
+  const net::Packet first = fragment(msg, 0, 4096);
+  ASSERT_TRUE(r.admit(first));
+  r.place(0, first.payload);
+  EXPECT_FALSE(r.admit(first));  // a duplicated frame
+  EXPECT_FALSE(r.complete());
+  const net::Buffer got = reassemble(r, msg, 4096, {1, 1, 2, 0});
+  EXPECT_FALSE(r.copied());
+  EXPECT_TRUE(std::ranges::equal(got.view(), data));
+}
+
+TEST(Reassembly, ReorderedFragmentsAreCopiedExactly) {
+  const auto data = pattern(20000, 4);
+  const net::Buffer msg = net::Buffer::copy_of(data);
+  for (const auto& order : std::vector<std::vector<std::uint32_t>>{
+           {1, 0, 2, 3, 4}, {0, 2, 1, 4, 3}, {4, 3, 2, 1, 0}}) {
+    Reassembly r;
+    const net::Buffer got = reassemble(r, msg, 4096, order);
+    EXPECT_TRUE(r.copied());
+    EXPECT_TRUE(std::ranges::equal(got.view(), data));
+  }
+}
+
+TEST(Reassembly, ReplacedFragmentsAreCopiedAsTheyArrived) {
+  // The fault injector replaces a damaged frame's payload with a copy: the
+  // message carries exactly the bytes that arrived, flipped bit included.
+  const auto data = pattern(10000, 5);
+  const net::Buffer msg = net::Buffer::copy_of(data);
+  for (std::uint32_t bad : {0u, 1u, 2u}) {
+    Reassembly r;
+    auto expect = data;
+    for (std::uint32_t i = 0; i < 3; ++i) {
+      net::Packet p = fragment(msg, i, 4096);
+      if (i == bad) {
+        auto bytes = std::vector<std::byte>(p.payload.view().begin(),
+                                            p.payload.view().end());
+        bytes[7] ^= std::byte{0x10};
+        expect[i * 4096 + 7] ^= std::byte{0x10};
+        p.payload = net::Buffer::copy_of(bytes);
+      }
+      ASSERT_TRUE(r.admit(p));
+      r.place(i * 4096, p.payload);
+    }
+    ASSERT_TRUE(r.complete());
+    const net::Buffer got = r.take();
+    EXPECT_TRUE(std::ranges::equal(got.view(), expect)) << "bad " << bad;
+    EXPECT_TRUE(r.copied());
+  }
 }
 
 class NicTest : public ::testing::Test {
@@ -361,6 +449,67 @@ TEST_F(NicTest, PrepostedBufferReceivesHeaderSplitPayload) {
   std::vector<std::byte> placed(payload.size());
   ASSERT_TRUE(hb_->user_as().read(va, placed).ok());
   EXPECT_EQ(placed, payload);
+}
+
+TEST_F(NicTest, PrepostCancelledMidReassemblyLeavesAHoleInline) {
+  // The caller gives up on the pre-post while the datagram is arriving: the
+  // body bytes placed before the cancel stay in the user buffer, the rest
+  // arrive inline, and the inline datagram holds zeros where the placed
+  // bytes would be — so the end-to-end RPC checksum rejects it.
+  const Bytes hdr_len = 64;
+  auto body = pattern(5 * cm_.eth_mtu, 5);
+  for (auto& b : body) b |= std::byte{1};  // no zero byte in the body
+  auto dgram = pattern(hdr_len, 7);
+  dgram.insert(dgram.end(), body.begin(), body.end());
+
+  const mem::Vaddr va = hb_->map_new(hb_->user_as(), body.size());
+  nb_->prepost(77, hb_->user_as(), va, body.size());
+  std::optional<Nic::EthDatagram> got;
+  nb_->set_eth_sink([&](Nic::EthDatagram d) -> sim::Task<void> {
+    got = std::move(d);
+    co_return;
+  });
+  eng_.spawn(na_->eth_send(nb_->node_id(), net::Buffer::copy_of(dgram), 77,
+                           hdr_len, body.size()));
+  // Fragments land about 40 us apart; cancel after the second.
+  eng_.schedule_fn(usec(120), [this] { nb_->cancel_prepost(77); });
+  eng_.run();
+
+  ASSERT_TRUE(got.has_value());
+  EXPECT_FALSE(got->rddp_placed);
+  const auto v = got->data.view();
+  ASSERT_EQ(v.size(), dgram.size());
+  EXPECT_TRUE(std::equal(v.begin(), v.begin() + hdr_len, dgram.begin()));
+  std::vector<std::byte> placed(body.size());
+  ASSERT_TRUE(hb_->user_as().read(va, placed).ok());
+  Bytes hole = 0, inline_bytes = 0;
+  for (Bytes i = 0; i < body.size(); ++i) {
+    const std::byte at = v[hdr_len + i];
+    if (at == std::byte{0}) {
+      ASSERT_EQ(placed[i], body[i]) << i;  // placed before the cancel
+      ++hole;
+    } else {
+      ASSERT_EQ(at, body[i]) << i;
+      ++inline_bytes;
+    }
+  }
+  // The cancel fell mid-datagram: both parts are there.
+  EXPECT_GT(hole, 0u);
+  EXPECT_GT(inline_bytes, 0u);
+  EXPECT_EQ(nb_->reassembly_copies(), 1u);
+}
+
+TEST_F(NicTest, RddpBulkMustEndTheDatagram) {
+  // A receiver hands the bytes in front of the bulk to the host stack as
+  // the datagram's headers, so a trailer behind the bulk is refused.
+  EXPECT_DEATH(
+      {
+        eng_.spawn(na_->eth_send(nb_->node_id(),
+                                 net::Buffer::copy_of(pattern(1000)), 5, 64,
+                                 900));
+        eng_.run();
+      },
+      "RDDP bulk must end the datagram");
 }
 
 TEST_F(NicTest, UnmatchedXidDeliversWholeDatagram) {

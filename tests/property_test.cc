@@ -226,7 +226,11 @@ TEST_P(Seeded, TlbInsertEvictBalancesPins) {
     ++pinned[vpn];
     if (auto evicted = tlb.insert(e)) --pinned[evicted->host_vpn];
     if (rng.chance(0.1)) {
-      for (const auto& victim : tlb.invalidate_segment(1 + rng.below(8))) {
+      nic::Segment seg;  // segment k covers NIC pages [4(k-1), 4k)
+      seg.id = 1 + rng.below(8);
+      seg.nic_va = (seg.id - 1) * 4 * mem::kPageSize;
+      seg.len = 4 * mem::kPageSize;
+      for (const auto& victim : tlb.invalidate_segment(seg)) {
         --pinned[victim.host_vpn];
       }
     }

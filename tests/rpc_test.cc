@@ -219,5 +219,66 @@ TEST_F(RpcTest, BulkWithoutPrepostArrivesInline) {
   EXPECT_EQ(got, payload);
 }
 
+// Stamp an RPC message's end-to-end checksum: CRC-32 over everything but
+// the cksum word, stored big-endian in it.
+void stamp_cksum(std::vector<std::byte>& m) {
+  const std::span<const std::byte> v(m);
+  std::uint32_t ck = checksum32(v.first(kRpcCksumOffset));
+  ck = checksum32(v.subspan(kRpcHeaderBytes), ck);
+  for (int i = 0; i < 4; ++i) {
+    m[kRpcCksumOffset + i] = static_cast<std::byte>(ck >> (8 * (3 - i)));
+  }
+}
+
+TEST_F(RpcTest, ReplyCacheReplaysTheSealedReplyBytes) {
+  // One call sent twice from a bare socket: the first reply is assembled in
+  // front of the handler's bulk, the second replayed from the duplicate
+  // cache (which shares it, so UDP copies it). Both carry exactly the
+  // wire format's bytes: xid | 1 | status | trace | cksum | results | bulk.
+  const auto bulk = pattern(KiB(8), 6);
+  RpcServer server(hs_, sts_, 2049);
+  int executed = 0;
+  server.register_handler(3, [&](const RpcCallCtx&)
+                                 -> sim::Task<RpcServerReply> {
+    ++executed;
+    RpcServerReply r;
+    r.results.u32(static_cast<std::uint32_t>(bulk.size()));
+    r.bulk = net::Buffer::copy_of(bulk);
+    co_return r;
+  });
+
+  XdrEncoder call;
+  for (std::uint32_t w : {41u, kRpcCall, 3u, 5u, 0u}) call.u32(w);
+  auto call_bytes = call.take();
+  stamp_cksum(call_bytes);
+
+  XdrEncoder want;
+  for (std::uint32_t w : {41u, kRpcReply, 0u, 5u, 0u}) want.u32(w);
+  want.u32(static_cast<std::uint32_t>(bulk.size()));
+  want.raw(bulk);
+  auto want_bytes = want.take();
+  stamp_cksum(want_bytes);
+
+  auto& sock = stc_.bind(900);
+  std::vector<std::vector<std::byte>> replies;
+  eng_.spawn([](msg::UdpStack::Socket& sock, net::NodeId server,
+                const std::vector<std::byte>& call,
+                std::vector<std::vector<std::byte>>& replies)
+                 -> sim::Task<void> {
+    for (int i = 0; i < 2; ++i) {
+      co_await sock.send_to(server, 2049, net::Buffer::copy_of(call));
+      const msg::UdpDatagram d = co_await sock.recv();
+      replies.emplace_back(d.data.view().begin(), d.data.view().end());
+    }
+  }(sock, ns_.node_id(), call_bytes, replies));
+  eng_.run();
+
+  EXPECT_EQ(executed, 1);
+  EXPECT_EQ(server.dup_replays(), 1u);
+  ASSERT_EQ(replies.size(), 2u);
+  EXPECT_EQ(replies[0], want_bytes);
+  EXPECT_EQ(replies[1], want_bytes);
+}
+
 }  // namespace
 }  // namespace ordma::rpc
