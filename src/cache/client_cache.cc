@@ -16,12 +16,12 @@ ClientCache::ClientCache(host::Host& host, Config cfg)
 }
 
 ClientCache::Header* ClientCache::find(BlockKey key) {
-  auto it = map_.find(key);
-  if (it == map_.end()) {
+  auto* s = map_.find(key);
+  if (s == nullptr) {
     ++data_misses_;
     return nullptr;
   }
-  Header& h = *it->second;
+  Header& h = *s->value;
   hdr_policy_->touch(&h.hdr_node);
   if (h.has_data()) {
     ++data_hits_;
@@ -52,9 +52,9 @@ void ClientCache::evict_header() {
 }
 
 ClientCache::Header& ClientCache::ensure(BlockKey key) {
-  if (auto it = map_.find(key); it != map_.end()) {
-    hdr_policy_->touch(&it->second->hdr_node);
-    return *it->second;
+  if (auto* s = map_.find(key)) {
+    hdr_policy_->touch(&s->value->hdr_node);
+    return *s->value;
   }
   if (map_.size() >= cfg_.max_headers) evict_header();
   auto h = std::make_unique<Header>();
@@ -65,7 +65,7 @@ ClientCache::Header& ClientCache::ensure(BlockKey key) {
   h->data_node.key = h->hdr_node.key = BlockKeyHash{}(key);
   hdr_policy_->insert(&h->hdr_node);
   Header& ref = *h;
-  map_.emplace(key, std::move(h));
+  map_.try_emplace(key).first->value = std::move(h);
   return ref;
 }
 
@@ -126,8 +126,8 @@ void ClientCache::read_block(const Header& h,
 
 void ClientCache::drop_file(std::uint64_t file) {
   std::vector<Header*> victims;
-  for (auto& [key, h] : map_) {
-    if (key.file == file) victims.push_back(h.get());
+  for (const auto& s : map_) {
+    if (s.key.file == file) victims.push_back(s.value.get());
   }
   for (Header* h : victims) {
     detach_data(*h);

@@ -14,11 +14,11 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "cache/policy.h"
+#include "common/open_map.h"
 #include "common/units.h"
 #include "crypto/capability.h"
 #include "host/host.h"
@@ -37,6 +37,16 @@ struct BlockKeyHash {
                                       k.idx);
   }
 };
+// OpenMap traits (common/open_map.h). No block has index ~0 (its offset
+// would not fit in 64 bits), so that key marks a free slot.
+struct BlockKeyTraits {
+  static BlockKey empty() { return {0, ~std::uint64_t{0}}; }
+  static std::size_t hash(const BlockKey& k) {
+    return mix_hash(k.file * 0x9E3779B97F4A7C15ull ^ k.idx);
+  }
+};
+template <typename V>
+using BlockMap = OpenMap<BlockKey, V, BlockKeyTraits>;
 
 // A piggybacked reference to a block in the server's file cache (§4.2.1):
 // where it lives in the server NIC's address space and the capability that
@@ -105,8 +115,8 @@ class ClientCache {
   // Lookup without perturbing hit/miss counters or replacement state
   // (used by the invalidation handler, which is not an access).
   Header* peek(BlockKey key) {
-    auto it = map_.find(key);
-    return it == map_.end() ? nullptr : it->second.get();
+    auto* s = map_.find(key);
+    return s == nullptr ? nullptr : s->value.get();
   }
   // Lookup or create the header (possibly evicting a colder header).
   Header& ensure(BlockKey key);
@@ -181,7 +191,7 @@ class ClientCache {
   Config cfg_;
   std::unique_ptr<ReplacementPolicy> data_policy_;
   std::unique_ptr<ReplacementPolicy> hdr_policy_;
-  std::unordered_map<BlockKey, std::unique_ptr<Header>, BlockKeyHash> map_;
+  BlockMap<std::unique_ptr<Header>> map_;  // headers keep their address
   mem::Vaddr slab_ = 0;
   std::vector<int> free_slots_;
   std::size_t refs_held_ = 0;

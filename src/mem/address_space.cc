@@ -8,31 +8,27 @@
 namespace ordma::mem {
 
 void AddressSpace::map(Vpn vpn, Pfn pfn, bool writable) {
-  auto [it, inserted] = table_.try_emplace(vpn);
+  auto [e, inserted] = table_.try_emplace(vpn);
   ORDMA_CHECK_MSG(inserted, "vpn already mapped");
-  it->second.pfn = pfn;
-  it->second.present = true;
-  it->second.writable = writable;
+  e->pfn = pfn;
+  e->present = true;
+  e->writable = writable;
 }
 
 Pfn AddressSpace::unmap(Vpn vpn) {
-  auto it = table_.find(vpn);
-  ORDMA_CHECK_MSG(it != table_.end(), "unmap of unmapped vpn");
-  ORDMA_CHECK_MSG(!it->second.pinned(), "unmap of pinned page");
-  const Pfn f = it->second.pfn;
-  table_.erase(it);
+  const PageEntry* e = table_.find(vpn);
+  ORDMA_CHECK_MSG(e != nullptr, "unmap of unmapped vpn");
+  ORDMA_CHECK_MSG(!e->pinned(), "unmap of pinned page");
+  const Pfn f = e->pfn;
+  table_.erase(vpn);
   return f;
 }
 
 const PageEntry* AddressSpace::lookup(Vpn vpn) const {
-  auto it = table_.find(vpn);
-  return it == table_.end() ? nullptr : &it->second;
+  return table_.find(vpn);
 }
 
-PageEntry* AddressSpace::lookup_mutable(Vpn vpn) {
-  auto it = table_.find(vpn);
-  return it == table_.end() ? nullptr : &it->second;
-}
+PageEntry* AddressSpace::lookup_mutable(Vpn vpn) { return table_.find(vpn); }
 
 void AddressSpace::pin(Vpn vpn) {
   auto* e = lookup_mutable(vpn);

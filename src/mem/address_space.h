@@ -14,9 +14,9 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
+#include "common/page_table.h"
 #include "common/result.h"
 #include "mem/physical_memory.h"
 
@@ -72,7 +72,7 @@ class AddressSpace {
   // Unmap; returns the frame that was mapped (caller returns it to the
   // allocator if appropriate). Fails a check if pinned.
   Pfn unmap(Vpn vpn);
-  bool is_mapped(Vpn vpn) const { return table_.count(vpn) != 0; }
+  bool is_mapped(Vpn vpn) const { return table_.find(vpn) != nullptr; }
 
   const PageEntry* lookup(Vpn vpn) const;
   PageEntry* lookup_mutable(Vpn vpn);
@@ -101,12 +101,15 @@ class AddressSpace {
   void unpin_range(Vaddr va, Bytes len);
 
   std::size_t mapped_pages() const { return table_.size(); }
+  // Page-table leaves held (common/page_table.h): bounded by the live
+  // mappings, however far the mapped VAs have advanced.
+  std::size_t table_leaves() const { return table_.leaves(); }
   PhysicalMemory& phys() { return phys_; }
   const PhysicalMemory& phys() const { return phys_; }
 
  private:
   PhysicalMemory& phys_;
-  std::unordered_map<Vpn, PageEntry> table_;
+  PageTable<PageEntry> table_;  // by vpn
 };
 
 // --- moving and checksumming bytes in place ---------------------------------

@@ -7,7 +7,7 @@ namespace ordma::mem {
 
 PhysicalMemory::Frame& PhysicalMemory::materialise(Pfn f) const {
   ORDMA_CHECK_MSG(f < num_frames_, "physical frame out of range");
-  auto& slot = frames_[f];
+  auto& slot = *frames_.try_emplace(f).first;
   if (!slot) {
     slot = std::make_unique<Frame>();
     slot->fill(std::byte{0});
@@ -36,11 +36,11 @@ void PhysicalMemory::read(Paddr addr, std::span<std::byte> out) const {
     const std::size_t chunk =
         std::min<std::size_t>(out.size() - done, kPageSize - off);
     ORDMA_CHECK_MSG(f < num_frames_, "physical frame out of range");
-    auto it = frames_.find(f);
-    if (it == frames_.end()) {
+    const auto* frame = frames_.find(f);
+    if (frame == nullptr) {
       std::memset(out.data() + done, 0, chunk);
     } else {
-      std::memcpy(out.data() + done, it->second->data() + off, chunk);
+      std::memcpy(out.data() + done, (*frame)->data() + off, chunk);
     }
     done += chunk;
   }
@@ -58,8 +58,8 @@ std::span<const std::byte> PhysicalMemory::frame_data(Pfn f) const {
 
 const std::byte* PhysicalMemory::frame_if_touched(Pfn f) const {
   ORDMA_CHECK_MSG(f < num_frames_, "physical frame out of range");
-  auto it = frames_.find(f);
-  return it == frames_.end() ? nullptr : it->second->data();
+  const auto* frame = frames_.find(f);
+  return frame == nullptr ? nullptr : (*frame)->data();
 }
 
 }  // namespace ordma::mem

@@ -11,9 +11,9 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <unordered_map>
 
 #include "common/assert.h"
+#include "common/page_table.h"
 #include "common/units.h"
 
 namespace ordma::mem {
@@ -63,7 +63,7 @@ class PhysicalMemory {
   Frame& materialise(Pfn f) const;
 
   std::uint64_t num_frames_;
-  mutable std::unordered_map<Pfn, std::unique_ptr<Frame>> frames_;
+  mutable PageTable<std::unique_ptr<Frame>> frames_;  // by pfn
 };
 
 }  // namespace ordma::mem

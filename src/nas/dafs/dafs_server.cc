@@ -120,9 +120,8 @@ sim::Task<void> DafsServer::serve_connection(
   }
 }
 
-void DafsServer::piggyback(rpc::XdrEncoder& out, fs::Ino ino,
-                           std::uint64_t fbn, fs::CacheBlock& blk,
-                           std::uint64_t version) {
+void DafsServer::piggyback(rpc::XdrEncoder& out, std::uint64_t fbn,
+                           fs::CacheBlock& blk, std::uint64_t version) {
   // With the write path on, blocks are exported read-write so the same
   // reference serves gets and optimistic puts. Coherence appends the
   // block's commit version to each record (kVersionedRefsBit signals the
@@ -234,7 +233,7 @@ sim::Task<void> DafsServer::do_read(msg::ViConnection& conn,
                     .ok());
     if (cfg_.piggyback_refs) {
       const auto before = refs.size();
-      piggyback(refs, ino, fbn, *blk.value(), version);
+      piggyback(refs, fbn, *blk.value(), version);
       if (refs.size() > before) ++ref_count;
     }
     done += chunk;

@@ -163,7 +163,7 @@ class DafsServer {
   // Ensure a cache block is exported; append (fbn, ref[, version]) to
   // `out`. `version` is the block's commit version captured by the caller
   // (coherence mode; ignored otherwise).
-  void piggyback(rpc::XdrEncoder& out, fs::Ino ino, std::uint64_t fbn,
+  void piggyback(rpc::XdrEncoder& out, std::uint64_t fbn,
                  fs::CacheBlock& blk, std::uint64_t version);
   // Export the file system's attribute region (once) and encode a remote
   // reference to `ino`'s record (the ODAFS attribute extension).

@@ -92,8 +92,8 @@ sim::Task<Result<cache::ClientCache::Header*>> OdafsClient::fetch_block(
   // otherwise a concurrent reader would consume bytes that have not
   // arrived yet.
   for (;;) {
-    if (auto it = inflight_.find(key); it != inflight_.end()) {
-      auto shared = it->second;
+    if (auto* s = inflight_.find(key)) {
+      auto shared = s->value;
       co_await shared->done.wait();
       auto* again = cache_.find(key);
       if (again && again->has_data()) co_return again;
@@ -113,7 +113,7 @@ sim::Task<Result<cache::ClientCache::Header*>> OdafsClient::fetch_block(
     }
   }
   auto flight = std::make_shared<Inflight>(host_.engine());
-  inflight_.emplace(key, flight);
+  inflight_.try_emplace(key).first->value = flight;
   struct FlightGuard {
     OdafsClient* self;
     cache::BlockKey key;
@@ -139,9 +139,8 @@ sim::Task<Result<cache::ClientCache::Header*>> OdafsClient::fetch_block(
   co_await ensure_slab_registered(op);
 
   const Bytes block_off = idx * cbs;
-  auto size_it = sizes_.find(fh);
-  const Bytes file_size =
-      size_it == sizes_.end() ? ~Bytes{0} : size_it->second;
+  const Bytes* known = sizes_.find(fh);
+  const Bytes file_size = known == nullptr ? ~Bytes{0} : *known;
   const Bytes want =
       block_off >= file_size ? 0 : std::min<Bytes>(cbs, file_size - block_off);
   if (want == 0) {
@@ -264,7 +263,7 @@ sim::Task<Result<core::OpenResult>> OdafsClient::open(
   // reference in the reply is visible; delegated re-opens stay local.
   auto res = co_await dafs_.open(path);
   if (res.ok()) {
-    sizes_[res.value().fh] = res.value().size;
+    *sizes_.try_emplace(res.value().fh).first = res.value().size;
     server_block_ = dafs_.server_block_size();
     if (const auto* info = dafs_.last_open_info();
         info && info->fh == res.value().fh && info->attr_ref) {
@@ -503,7 +502,7 @@ sim::Task<Result<Bytes>> OdafsClient::pwrite_arm(std::uint64_t fh, Bytes off,
       apply_local_write(fh, pos, bytes, version);
       done += piece;
     }
-    auto& size = sizes_[fh];
+    auto& size = *sizes_.try_emplace(fh).first;
     size = std::max<Bytes>(size, off + len);
     co_return len;
   }
@@ -511,7 +510,7 @@ sim::Task<Result<Bytes>> OdafsClient::pwrite_arm(std::uint64_t fh, Bytes off,
   auto n = co_await rpc_write(fh, off, data, op);
   if (!n.ok()) co_return n.status();
 
-  auto& size = sizes_[fh];
+  auto& size = *sizes_.try_emplace(fh).first;
   size = std::max<Bytes>(size, off + n.value());
 
   apply_local_write(
@@ -619,9 +618,8 @@ sim::Task<Result<Bytes>> OdafsClient::pwrite_wb(std::uint64_t fh, Bytes off,
     const cache::BlockKey key{fh, idx};
     auto* h = cache_.find(key);
     if (!(h && h->has_data())) {
-      auto size_it = sizes_.find(fh);
-      const Bytes file_size =
-          size_it == sizes_.end() ? Bytes{0} : size_it->second;
+      const Bytes* known = sizes_.find(fh);
+      const Bytes file_size = known == nullptr ? Bytes{0} : *known;
       if (chunk < cbs && idx * cbs < file_size) {
         // Partial write into a block with existing bytes: read-modify-write
         // through the normal fill path.
@@ -654,7 +652,7 @@ sim::Task<Result<Bytes>> OdafsClient::pwrite_wb(std::uint64_t fh, Bytes off,
     co_await host_.copy(chunk, op);  // user buffer → cache block
     done += chunk;
   }
-  auto& size = sizes_[fh];
+  auto& size = *sizes_.try_emplace(fh).first;
   size = std::max<Bytes>(size, off + len);
   co_return len;
 }
@@ -766,10 +764,10 @@ void OdafsClient::handle_invalidate(std::uint64_t ino, std::uint64_t fbn,
   const std::uint64_t count = std::max<Bytes>(1, sbs / cbs);
   for (std::uint64_t i = 0; i < count; ++i) {
     const cache::BlockKey key{ino, first + i};  // fh == ino in this protocol
-    if (auto it = inflight_.find(key); it != inflight_.end()) {
+    if (auto* s = inflight_.find(key)) {
       // A racing fill: poison it — never drop its slot, the in-flight RDMA
       // gather would land in freed (possibly reassigned) memory.
-      it->second->poisoned = true;
+      s->value->poisoned = true;
       continue;
     }
     auto* h = cache_.peek(key);
@@ -835,7 +833,7 @@ sim::Task<Result<core::OpenResult>> OdafsClient::create(
     const std::string& path) {
   auto res = co_await dafs_.create(path);
   if (res.ok()) {
-    sizes_[res.value().fh] = 0;
+    *sizes_.try_emplace(res.value().fh).first = 0;
     server_block_ = dafs_.server_block_size();
   }
   co_return res;

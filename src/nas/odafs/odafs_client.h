@@ -20,6 +20,7 @@
 #include <unordered_map>
 
 #include "cache/client_cache.h"
+#include "common/page_table.h"
 #include "core/file_client.h"
 #include "nas/dafs/dafs_client.h"
 #include "obs/signals.h"
@@ -191,11 +192,9 @@ class OdafsClient : public core::FileClient {
   dafs::DafsClient dafs_;
   cache::ClientCache cache_;
   obs::Track trk_app_;  // root spans for this client's file ops
-  std::unordered_map<cache::BlockKey, std::shared_ptr<Inflight>,
-                     cache::BlockKeyHash>
-      inflight_;
+  cache::BlockMap<std::shared_ptr<Inflight>> inflight_;
   std::optional<dafs::DafsClient::Registered> slab_reg_;
-  std::unordered_map<std::uint64_t, Bytes> sizes_;  // fh → known file size
+  PageTable<Bytes> sizes_;  // fh → known file size
   std::unordered_map<std::uint64_t, cache::RemoteRef> attr_refs_;
   Bytes server_block_ = 0;
 

@@ -103,7 +103,7 @@ void Nic::send_ctrl_packet(net::NodeId dst, GmCtrl ctrl, Bytes extra_bytes,
 }
 
 sim::Channel<Nic::GmMessage>& Nic::open_port(std::uint32_t port) {
-  auto& slot = ports_[port];
+  auto& slot = *ports_.try_emplace(port).first;
   if (!slot) slot = std::make_unique<sim::Channel<GmMessage>>(eng_);
   return *slot;
 }
@@ -132,7 +132,7 @@ sim::Task<Result<net::Buffer>> Nic::gm_get(net::NodeId dst, mem::Vaddr va,
   const std::uint64_t op_id = next_op_id_++;
   auto op = std::make_unique<PendingOp>(eng_);
   auto* op_ptr = op.get();
-  pending_.emplace(op_id, std::move(op));
+  pending_.try_emplace(op_id, std::move(op));
 
   GmCtrl ctrl;
   ctrl.op = GmOp::get_req;
@@ -179,7 +179,7 @@ sim::Task<Status> Nic::gm_put(net::NodeId dst, mem::Vaddr va,
 
   auto op = std::make_unique<PendingOp>(eng_);
   auto* op_ptr = op.get();
-  pending_.emplace(op_id, std::move(op));
+  pending_.try_emplace(op_id, std::move(op));
   co_await send_fragments(dst, std::move(data), ctrl, /*charge_dma=*/true,
                           trace_op);
   co_return (co_await await_op(op_id, *op_ptr)).status();
@@ -243,9 +243,8 @@ sim::Task<void> Nic::handle_gm_data(net::Packet p) {
   msg.trace_op = p.trace_op;
   gm_rx_.erase(key);
   obs::flow(fw_.trace_track(), p.trace_op, "gm_deliver", eng_.now());
-  auto it = ports_.find(ctrl.port);
-  if (it != ports_.end()) {
-    it->second->send(std::move(msg));
+  if (auto* port = ports_.find(ctrl.port)) {
+    (*port)->send(std::move(msg));
   } else {
     ORDMA_LOG_ERROR("nic", "%s: GM message to closed port %u dropped",
                     host_.name().c_str(), ctrl.port);
@@ -271,9 +270,9 @@ void Nic::tlb_insert_pinned(const Segment& seg, mem::Vpn nic_vpn,
 
 void Nic::unpin_evicted(const NicTlb::Entry& e) { e.as->unpin(e.host_vpn); }
 
-sim::Task<Result<NicTlb::Entry*>> Nic::tlb_load(const Segment& seg,
-                                                mem::Vpn nic_vpn,
-                                                obs::OpId trace_op) {
+sim::Task<Result<NicTlb::Entry>> Nic::tlb_load(Segment seg,
+                                               mem::Vpn nic_vpn,
+                                               obs::OpId trace_op) {
   tlb_.count_miss();
   const mem::Vpn host_vpn =
       mem::page_of(seg.host_va) + (nic_vpn - mem::page_of(seg.nic_va));
@@ -298,7 +297,7 @@ sim::Task<Result<NicTlb::Entry*>> Nic::tlb_load(const Segment& seg,
   // Revalidate after the delay: the segment may have been revoked while we
   // waited (the race the exception mechanism exists for), or a concurrent
   // miss for the same page may have loaded the entry already.
-  if (NicTlb::Entry* raced = tlb_.lookup(nic_vpn)) co_return raced;
+  if (NicTlb::Entry* raced = tlb_.lookup(nic_vpn)) co_return *raced;
   const Segment* fresh = tpt_.segment_of_page(nic_vpn);
   if (!fresh || fresh->id != seg.id) co_return Errc::access_fault;
   const auto* pte2 = fresh->as->lookup(host_vpn);
@@ -307,7 +306,7 @@ sim::Task<Result<NicTlb::Entry*>> Nic::tlb_load(const Segment& seg,
   tlb_insert_pinned(*fresh, nic_vpn, pte2->pfn);
   NicTlb::Entry* e = tlb_.lookup(nic_vpn);
   ORDMA_CHECK(e != nullptr);
-  co_return e;
+  co_return *e;
 }
 
 sim::Task<Result<std::vector<Nic::PageRun>>> Nic::resolve_ordma(
@@ -315,9 +314,12 @@ sim::Task<Result<std::vector<Nic::PageRun>>> Nic::resolve_ordma(
     obs::OpId trace_op) {
   if (len == 0) co_return Errc::invalid_argument;
 
-  // Locate the segment named by the capability.
-  const Segment* seg = tpt_.find_segment(cap.segment_id);
-  if (!seg) co_return Errc::access_fault;
+  // Locate the segment named by the capability. Work on a copy: table
+  // entries are looked up afresh after every await (a revoke may erase
+  // them meanwhile), and the checks below judge the segment as it was.
+  const Segment* found = tpt_.find_segment(cap.segment_id);
+  if (!found) co_return Errc::access_fault;
+  const Segment seg = *found;
 
   // Injected NIC misbehaviour: a spurious revocation fails the op exactly
   // like a genuine one (the initiator falls back to RPC); a spurious TPT/TLB
@@ -332,14 +334,14 @@ sim::Task<Result<std::vector<Nic::PageRun>>> Nic::resolve_ordma(
     // RPC write).
     if (write && faults_->spurious_put_revoke()) co_return Errc::revoked;
     if (faults_->spurious_tlb_invalidate()) {
-      for (const auto& e : tlb_.invalidate_segment(*seg)) unpin_evicted(e);
+      for (const auto& e : tlb_.invalidate_segment(seg)) unpin_evicted(e);
     }
   }
 
   // Verify the capability (MAC + generation) — firmware cost.
   if (cm_.capabilities_enabled) {
     co_await fw_.consume(cm_.nic_cap_verify, trace_op, "nic/cap_verify");
-    if (!authority_.verify(cap, seg->generation)) co_return Errc::revoked;
+    if (!authority_.verify(cap, seg.generation)) co_return Errc::revoked;
     if (!crypto::allows(cap.perm, write ? crypto::SegPerm::write
                                         : crypto::SegPerm::read)) {
       co_return Errc::access_fault;
@@ -347,7 +349,7 @@ sim::Task<Result<std::vector<Nic::PageRun>>> Nic::resolve_ordma(
   }
 
   // Range check against the segment.
-  if (va < seg->nic_va || va + len > seg->nic_va + seg->len) {
+  if (va < seg.nic_va || va + len > seg.nic_va + seg.len) {
     co_return Errc::access_fault;
   }
 
@@ -359,13 +361,14 @@ sim::Task<Result<std::vector<Nic::PageRun>>> Nic::resolve_ordma(
     const std::uint64_t off = mem::page_offset(cur);
     const Bytes chunk = std::min<Bytes>(len - done, mem::kPageSize - off);
 
-    NicTlb::Entry* e = tlb_.lookup(nic_vpn);
-    if (e) {
+    NicTlb::Entry e;
+    if (const NicTlb::Entry* hit = tlb_.lookup(nic_vpn)) {
+      e = *hit;
       co_await fw_.consume(cm_.nic_tlb_hit, trace_op, "nic/tlb_hit");
     } else {
       // Confirm the page still belongs to this segment, then take the miss.
       const Segment* owner = tpt_.segment_of_page(nic_vpn);
-      if (!owner || owner->id != seg->id) co_return Errc::access_fault;
+      if (!owner || owner->id != seg.id) co_return Errc::access_fault;
       auto loaded = co_await tlb_load(*owner, nic_vpn, trace_op);
       if (!loaded.ok()) co_return loaded.status();
       e = loaded.value();
@@ -373,10 +376,10 @@ sim::Task<Result<std::vector<Nic::PageRun>>> Nic::resolve_ordma(
 
     // Write permission is also enforced at the host page level.
     if (write) {
-      const auto* pte = e->as->lookup(e->host_vpn);
+      const auto* pte = e.as->lookup(e.host_vpn);
       if (!pte || !pte->writable) co_return Errc::access_fault;
     }
-    runs.push_back(PageRun{e->pfn, off, chunk});
+    runs.push_back(PageRun{e.pfn, off, chunk});
     done += chunk;
   }
   co_return runs;
@@ -451,11 +454,11 @@ sim::Task<void> Nic::handle_put_req(net::Packet p) {
   // recently completed puts instead; the original's ack already answers
   // the initiator.
   const RxKey put_key{p.src, ctrl.op_id};
-  if (put_done_.count(put_key) != 0) {
+  if (put_done_.find(put_key) != nullptr) {
     ++put_dups_dropped_;
     co_return;
   }
-  put_done_.emplace(put_key, true);
+  put_done_.try_emplace(put_key);
   put_done_order_.push_back(put_key);
   while (put_done_order_.size() > kPutDedupCap) {
     put_done_.erase(put_done_order_.front());
@@ -499,7 +502,7 @@ sim::Task<void> Nic::handle_put_req(net::Packet p) {
   // Remember what landed (checksummed during placement — no host CPU):
   // the server's put-commit handler verifies a client's claim against this
   // record instead of re-reading the data.
-  last_put_[seg->id] =
+  *last_put_.try_emplace(seg->id).first =
       PutRecord{p.src, ctrl.op_id, ctrl.remote_va, data.size(),
                 rpc::checksum32(dv)};
   send_ctrl_packet(p.src, reply, 0, p.trace_op);
@@ -507,25 +510,25 @@ sim::Task<void> Nic::handle_put_req(net::Packet p) {
 
 sim::Task<void> Nic::handle_get_reply(net::Packet p) {
   const auto ctrl = p.ctrl.get<GmCtrl>();
-  auto it = pending_.find(ctrl.op_id);
-  if (it == pending_.end()) co_return;  // initiator gave up
-  if (it->second->done.is_set()) co_return;  // duplicate after completion
+  auto* slot = pending_.find(ctrl.op_id);
+  if (slot == nullptr) co_return;  // initiator gave up
+  if ((*slot)->done.is_set()) co_return;  // duplicate after completion
 
   if (ctrl.fault != Errc::ok) {
-    it->second->done.set(Result<net::Buffer>(ctrl.fault));
+    (*slot)->done.set(Result<net::Buffer>(ctrl.fault));
     co_return;
   }
-  if (!it->second->reply.admit(p)) co_return;  // duplicated fragment
+  if (!(*slot)->reply.admit(p)) co_return;  // duplicated fragment
   if (!p.payload.empty()) {
     // Fragments are DMA'd into the initiator's buffer as they arrive.
     co_await dma_transfer(p.payload.size(), p.trace_op);
     // The initiator may have timed out and erased the op while we DMA'd.
-    it = pending_.find(ctrl.op_id);
-    if (it == pending_.end()) co_return;
-    it->second->reply.place(static_cast<Bytes>(p.frag_index) * cm_.gm_mtu,
-                            p.payload);
+    slot = pending_.find(ctrl.op_id);
+    if (slot == nullptr) co_return;
+    (*slot)->reply.place(static_cast<Bytes>(p.frag_index) * cm_.gm_mtu,
+                         p.payload);
   }
-  PendingOp& op = *it->second;
+  PendingOp& op = **slot;
   if (op.reply.complete()) {
     op.done.set(Result<net::Buffer>(take_message(op.reply)));
   }
@@ -533,13 +536,14 @@ sim::Task<void> Nic::handle_get_reply(net::Packet p) {
 
 void Nic::handle_put_ack(net::Packet p) {
   const auto ctrl = p.ctrl.get<GmCtrl>();
-  auto it = pending_.find(ctrl.op_id);
-  if (it == pending_.end()) return;
-  if (it->second->done.is_set()) return;  // duplicate ack
+  auto* slot = pending_.find(ctrl.op_id);
+  if (slot == nullptr) return;
+  PendingOp& op = **slot;
+  if (op.done.is_set()) return;  // duplicate ack
   if (ctrl.fault != Errc::ok) {
-    it->second->done.set(Result<net::Buffer>(ctrl.fault));
+    op.done.set(Result<net::Buffer>(ctrl.fault));
   } else {
-    it->second->done.set(Result<net::Buffer>(net::Buffer()));
+    op.done.set(Result<net::Buffer>(net::Buffer()));
   }
 }
 

@@ -23,6 +23,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/open_map.h"
+#include "common/page_table.h"
 #include "common/result.h"
 #include "common/units.h"
 #include "crypto/capability.h"
@@ -137,8 +139,7 @@ class Nic {
     std::uint32_t cksum = 0;
   };
   const PutRecord* last_put(std::uint64_t seg_id) const {
-    auto it = last_put_.find(seg_id);
-    return it == last_put_.end() ? nullptr : &it->second;
+    return last_put_.find(seg_id);
   }
 
   // ---------------------------------------------------------------------
@@ -260,9 +261,10 @@ class Nic {
       obs::OpId trace_op = 0);
 
   // Load a TPT translation into the TLB (miss path: host interrupt + PIO).
-  sim::Task<Result<NicTlb::Entry*>> tlb_load(const Segment& seg,
-                                             mem::Vpn nic_vpn,
-                                             obs::OpId trace_op = 0);
+  // Takes and returns copies: the TPT and TLB slots may go during the
+  // miss penalty's wait.
+  sim::Task<Result<NicTlb::Entry>> tlb_load(Segment seg, mem::Vpn nic_vpn,
+                                            obs::OpId trace_op = 0);
   void tlb_insert_pinned(const Segment& seg, mem::Vpn nic_vpn, mem::Pfn pfn);
   void unpin_evicted(const NicTlb::Entry& e);
 
@@ -283,10 +285,9 @@ class Nic {
   sim::Channel<net::Packet> rx_queue_;
 
   // GM
-  std::unordered_map<std::uint32_t, std::unique_ptr<sim::Channel<GmMessage>>>
-      ports_;
+  PageTable<std::unique_ptr<sim::Channel<GmMessage>>> ports_;  // by port
   std::uint32_t next_port_ = 1024;
-  std::unordered_map<std::uint64_t, std::unique_ptr<PendingOp>> pending_;
+  PageTable<std::unique_ptr<PendingOp>> pending_;  // by op id
   std::uint64_t next_op_id_ = 1;
   std::uint64_t next_msg_id_ = 1;
   struct RxKey {
@@ -298,6 +299,12 @@ class Nic {
     std::size_t operator()(const RxKey& k) const {
       return std::hash<std::uint64_t>()((std::uint64_t(k.src) << 48) ^
                                         k.msg_id);
+    }
+  };
+  struct RxKeyTraits {  // OpenMap: no frame comes from kInvalidNode
+    static RxKey empty() { return {net::kInvalidNode, 0}; }
+    static std::size_t hash(const RxKey& k) {
+      return mix_hash((std::uint64_t(k.src) << 48) ^ k.msg_id);
     }
   };
   // Inbound GM messages and put data being reassembled.
@@ -324,8 +331,8 @@ class Nic {
   // FIFO of recently completed (src, op_id) puts so a duplicated frame
   // that resurrects an erased fragment tracker cannot re-apply its bytes.
   static constexpr std::size_t kPutDedupCap = 512;
-  std::unordered_map<std::uint64_t, PutRecord> last_put_;
-  std::unordered_map<RxKey, bool, RxKeyHash> put_done_;
+  PageTable<PutRecord> last_put_;  // by segment id
+  OpenMap<RxKey, bool, RxKeyTraits> put_done_;
   std::deque<RxKey> put_done_order_;
 
   std::uint64_t ordma_served_ = 0;

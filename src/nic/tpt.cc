@@ -5,73 +5,65 @@ namespace ordma::nic {
 void Tpt::install(const Segment& seg) {
   ORDMA_CHECK(mem::page_offset(seg.nic_va) == 0);
   ORDMA_CHECK(mem::page_offset(seg.host_va) == 0);
-  auto [it, inserted] = segments_.emplace(seg.id, seg);
-  ORDMA_CHECK_MSG(inserted, "duplicate segment id in TPT");
+  ORDMA_CHECK_MSG(segments_.try_emplace(seg.id, seg).second,
+                  "duplicate segment id in TPT");
   const auto pages = (seg.len + mem::kPageSize - 1) / mem::kPageSize;
   for (std::uint64_t i = 0; i < pages; ++i) {
-    page_to_seg_[mem::page_of(seg.nic_va) + i] = seg.id;
+    *page_to_seg_.try_emplace(mem::page_of(seg.nic_va) + i).first = seg.id;
   }
 }
 
 std::optional<Segment> Tpt::remove(std::uint64_t seg_id) {
-  auto it = segments_.find(seg_id);
-  if (it == segments_.end()) return std::nullopt;
-  Segment seg = it->second;
+  const Segment* found = segments_.find(seg_id);
+  if (found == nullptr) return std::nullopt;
+  Segment seg = *found;
   const auto pages = (seg.len + mem::kPageSize - 1) / mem::kPageSize;
   for (std::uint64_t i = 0; i < pages; ++i) {
     page_to_seg_.erase(mem::page_of(seg.nic_va) + i);
   }
-  segments_.erase(it);
+  segments_.erase(seg_id);
   return seg;
 }
 
 const Segment* Tpt::find_segment(std::uint64_t seg_id) const {
-  auto it = segments_.find(seg_id);
-  return it == segments_.end() ? nullptr : &it->second;
+  return segments_.find(seg_id);
 }
 
 Segment* Tpt::find_segment_mutable(std::uint64_t seg_id) {
-  auto it = segments_.find(seg_id);
-  return it == segments_.end() ? nullptr : &it->second;
+  return segments_.find(seg_id);
 }
 
 const Segment* Tpt::segment_of_page(mem::Vpn nic_vpn) const {
-  auto it = page_to_seg_.find(nic_vpn);
-  if (it == page_to_seg_.end()) return nullptr;
-  return find_segment(it->second);
+  const std::uint64_t* seg_id = page_to_seg_.find(nic_vpn);
+  return seg_id == nullptr ? nullptr : find_segment(*seg_id);
 }
 
 NicTlb::~NicTlb() {
-  while (auto* e = lru_.pop_front()) {
-    map_.erase(e->nic_vpn);
-    delete e;
+  while (lru_.pop_front() != nullptr) {
   }
 }
 
 NicTlb::Entry* NicTlb::lookup(mem::Vpn nic_vpn) {
-  auto it = map_.find(nic_vpn);
-  if (it == map_.end()) return nullptr;
-  lru_.touch(it->second);
+  Entry* e = map_.find(nic_vpn);
+  if (e == nullptr) return nullptr;
+  lru_.touch(e);
   ++hits_;
-  return it->second;
+  return e;
 }
 
 std::optional<NicTlb::Entry> NicTlb::insert(const Entry& e) {
-  ORDMA_CHECK_MSG(map_.find(e.nic_vpn) == map_.end(),
+  ORDMA_CHECK_MSG(map_.find(e.nic_vpn) == nullptr,
                   "TLB insert over existing entry");
   std::optional<Entry> evicted;
   if (map_.size() >= capacity_) {
     Entry* victim = lru_.pop_front();
     ORDMA_CHECK(victim);
-    map_.erase(victim->nic_vpn);
     evicted = *victim;
-    delete victim;
+    map_.erase(victim->nic_vpn);
   }
-  auto* owned = new Entry(e);
-  // Copying an Entry copies the (unlinked) ListNode base; make sure the new
-  // node starts unlinked regardless of source state.
-  owned->prev = owned->next = nullptr;
-  map_[owned->nic_vpn] = owned;
+  // Copying an Entry never copies list membership (ListNode), so the new
+  // entry starts unlinked.
+  Entry* owned = map_.try_emplace(e.nic_vpn, e).first;
   lru_.push_back(owned);
   return evicted;
 }
@@ -81,13 +73,11 @@ std::vector<NicTlb::Entry> NicTlb::invalidate_segment(const Segment& seg) {
   const mem::Vpn first = mem::page_of(seg.nic_va);
   const auto pages = (seg.len + mem::kPageSize - 1) / mem::kPageSize;
   for (mem::Vpn vpn = first; vpn < first + pages; ++vpn) {
-    auto it = map_.find(vpn);
-    if (it == map_.end() || it->second->seg_id != seg.id) continue;
-    Entry* e = it->second;
+    Entry* e = map_.find(vpn);
+    if (e == nullptr || e->seg_id != seg.id) continue;
     out.push_back(*e);
     lru_.erase(e);
-    map_.erase(it);
-    delete e;
+    map_.erase(vpn);
   }
   return out;
 }

@@ -10,10 +10,10 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/intrusive_list.h"
+#include "common/page_table.h"
 #include "common/result.h"
 #include "crypto/capability.h"
 #include "mem/address_space.h"
@@ -46,10 +46,15 @@ class Tpt {
   const Segment* segment_of_page(mem::Vpn nic_vpn) const;
 
   std::size_t num_segments() const { return segments_.size(); }
+  // Table leaves held (common/page_table.h): bounded by the live
+  // segments, though segment ids and NIC VAs are never reused.
+  std::size_t table_leaves() const {
+    return segments_.leaves() + page_to_seg_.leaves();
+  }
 
  private:
-  std::unordered_map<std::uint64_t, Segment> segments_;
-  std::unordered_map<mem::Vpn, std::uint64_t> page_to_seg_;
+  PageTable<Segment> segments_;          // by segment id
+  PageTable<std::uint64_t> page_to_seg_;  // NIC vpn → segment id
 };
 
 // Bounded TLB with LRU replacement. Entries cache the physical frame so the
@@ -84,6 +89,7 @@ class NicTlb {
 
   std::size_t size() const { return map_.size(); }
   std::size_t capacity() const { return capacity_; }
+  std::size_t table_leaves() const { return map_.leaves(); }
 
   // Stats for the TLB ablation bench.
   std::uint64_t hits() const { return hits_; }
@@ -92,7 +98,7 @@ class NicTlb {
 
  private:
   std::size_t capacity_;
-  std::unordered_map<mem::Vpn, Entry*> map_;
+  PageTable<Entry> map_;      // by NIC vpn; entries never move
   IntrusiveList<Entry> lru_;  // front = LRU, back = MRU
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;

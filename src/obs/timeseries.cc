@@ -49,7 +49,7 @@ std::vector<PhaseSegment> summarize_phases(const std::vector<double>& v,
   std::size_t run_len = 0;
   auto close = [&](std::size_t end) {
     segs.push_back({Phase::steady, start, end,
-                    count ? sum / static_cast<double>(count) : 0.0});
+                    count ? sum / static_cast<double>(count) : 0.0, {}});
   };
   for (std::size_t i = 0; i < n; ++i) {
     const double mean = count ? sum / static_cast<double>(count) : v[i];

@@ -10,7 +10,7 @@ Engine::Engine()
                  ? mem::current_arena()
                  : (owned_arena_ = std::make_unique<mem::Arena>()).get()),
       heap_(mem::ArenaAllocator<std::int64_t>(arena_)),
-      table_(mem::ArenaAllocator<Bucket>(arena_)),
+      table_(mem::ArenaAllocator<std::byte>(arena_)),
       ring_(mem::ArenaAllocator<TimerNode*>(arena_)) {
   // Make log lines carry simulated time (last constructed engine wins; the
   // destructor only clears its own registration).
@@ -46,20 +46,6 @@ void Engine::grow_pool() {
   slabs_.push_back(slab);
 }
 
-void Engine::grow_table() {
-  ArenaVec<Bucket> old = std::move(table_);
-  const std::size_t new_cap = old.empty() ? 64 : old.size() * 2;
-  table_.assign(new_cap, Bucket{kNoBucket, nullptr, nullptr});
-  table_mask_ = new_cap - 1;
-  memo_when_ = kNoBucket;  // slot indices renumbered
-  for (const Bucket& b : old) {
-    if (b.when == kNoBucket) continue;
-    std::size_t i = bucket_hash(b.when) & table_mask_;
-    while (table_[i].when != kNoBucket) i = (i + 1) & table_mask_;
-    table_[i] = b;
-  }
-}
-
 void Engine::grow_ring() {
   const std::size_t old_cap = ring_.size();
   const std::size_t new_cap = old_cap == 0 ? 1024 : old_cap * 2;
@@ -87,19 +73,17 @@ void Engine::fire(TimerNode* node) {
 
 Task<void> Engine::run_process(std::uint64_t pid, Task<void> body) {
   co_await std::move(body);
-  auto it = processes_.find(pid);
-  ORDMA_CHECK(it != processes_.end());
-  it->second->finished = true;
+  ProcessState* state = processes_.find(pid);
+  ORDMA_CHECK(state != nullptr);
+  state->finished = true;
   reap_list_.push_back(pid);
 }
 
 std::uint64_t Engine::spawn(Task<void> t) {
   const std::uint64_t pid = next_pid_++;
-  auto state = std::make_unique<ProcessState>();
+  ProcessState* state = processes_.try_emplace(pid).first;
   state->task = run_process(pid, std::move(t));
-  const auto handle = state->task.raw_handle();
-  processes_.emplace(pid, std::move(state));
-  schedule_coro(Duration{0}, handle);
+  schedule_coro(Duration{0}, state->task.raw_handle());
   return pid;
 }
 
@@ -109,9 +93,9 @@ void Engine::reap_finished() {
   while (!reap_list_.empty()) {
     const std::uint64_t pid = reap_list_.back();
     reap_list_.pop_back();
-    auto it = processes_.find(pid);
-    if (it != processes_.end() && it->second->finished) {
-      processes_.erase(it);  // Task dtor destroys the (final-suspended) frame
+    const ProcessState* state = processes_.find(pid);
+    if (state != nullptr && state->finished) {
+      processes_.erase(pid);  // Task dtor destroys the (final-suspended) frame
     }
   }
 }

@@ -8,7 +8,7 @@
 //    (yield(), channel/event/resource wake-ups: the dominant event class).
 //    Pushing and popping is O(1) with no comparisons.
 //  * future calendar — entries scheduled with a positive delay are chained
-//    FIFO into a per-timestamp bucket (open-addressing hash table keyed by
+//    FIFO into a per-timestamp bucket (common/open_map.h, keyed by
 //    absolute nanosecond), and a min-heap holds each *distinct* timestamp
 //    once. Sim workloads collide heavily on timestamps (cost constants are
 //    quantized), so the O(log n) heap sift — the dominant cost of a classic
@@ -48,9 +48,10 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
+#include "common/open_map.h"
+#include "common/page_table.h"
 #include "common/units.h"
 #include "mem/arena.h"
 #include "sim/inline_fn.h"
@@ -225,20 +226,23 @@ class Engine {
     }
   }
 
-  // Open-addressing timestamp → bucket table (linear probing, power-of-two
-  // capacity, backward-shift deletion). Flat storage, no per-bucket
-  // allocation.
-  struct Bucket {
-    std::int64_t when;
-    TimerNode* head;
-    TimerNode* tail;
+  // Timestamp → FIFO chain of the nodes due then: an OpenMap (linear
+  // probing, power-of-two capacity, backward-shift deletion) in flat arena
+  // storage, no per-bucket allocation.
+  struct Chain {
+    TimerNode* head = nullptr;
+    TimerNode* tail = nullptr;
   };
   static constexpr std::int64_t kNoBucket =
       std::numeric_limits<std::int64_t>::min();
-  static std::size_t bucket_hash(std::int64_t when) {
-    auto x = static_cast<std::uint64_t>(when) * 0x9e3779b97f4a7c15ull;
-    return static_cast<std::size_t>(x ^ (x >> 29));
-  }
+  struct CalendarTraits {
+    static std::int64_t empty() { return kNoBucket; }
+    static std::size_t hash(std::int64_t when) {
+      return mix_hash(static_cast<std::uint64_t>(when));
+    }
+  };
+  using Calendar = OpenMap<std::int64_t, Chain, CalendarTraits,
+                           mem::ArenaAllocator<std::byte>>;
 
   // Append `node` to the bucket for `when`, creating it (and pushing the
   // new distinct timestamp onto the heap) if absent. The last-bucket memo
@@ -247,62 +251,34 @@ class Engine {
   // waking all waiters). The memo self-validates by re-checking the slot's
   // timestamp — a timestamp names at most one bucket, so a slot that still
   // holds `when` *is* the bucket, however backward-shift deletion has
-  // rearranged its neighbours; grow_table() renumbers slots and drops the
-  // memo wholesale.
+  // rearranged its neighbours. Only try_emplace can move the slot array
+  // (growth), and it re-points the memo.
   void push_future(std::int64_t when, TimerNode* node) {
     node->next = nullptr;
-    if (when == memo_when_ && table_[memo_idx_].when == when) {
-      Bucket& b = table_[memo_idx_];
-      b.tail->next = node;
-      b.tail = node;
+    if (when == memo_when_ && memo_->key == when) {
+      memo_->value.tail->next = node;
+      memo_->value.tail = node;
       return;
     }
-    if ((table_count_ + 1) * 4 >= table_.size() * 3) grow_table();
-    std::size_t i = bucket_hash(when) & table_mask_;
-    for (;;) {
-      Bucket& b = table_[i];
-      if (b.when == when) {
-        b.tail->next = node;
-        b.tail = node;
-        memo_when_ = when;
-        memo_idx_ = i;
-        return;
-      }
-      if (b.when == kNoBucket) {
-        b = Bucket{when, node, node};
-        ++table_count_;
-        heap_push(when);
-        memo_when_ = when;
-        memo_idx_ = i;
-        return;
-      }
-      i = (i + 1) & table_mask_;
+    auto [b, created] = table_.try_emplace(when);
+    if (created) {
+      b->value = Chain{node, node};
+      heap_push(when);
+    } else {
+      b->value.tail->next = node;
+      b->value.tail = node;
     }
+    memo_when_ = when;
+    memo_ = b;
   }
 
   // Detach and return the FIFO chain for `when`, erasing its bucket.
   TimerNode* take_bucket(std::int64_t when) {
-    std::size_t i = bucket_hash(when) & table_mask_;
-    while (table_[i].when != when) i = (i + 1) & table_mask_;
-    TimerNode* head = table_[i].head;
-    // Backward-shift deletion keeps probe chains contiguous without
-    // tombstones: slide each follower home-ward while legal.
-    std::size_t j = i;
-    for (;;) {
-      j = (j + 1) & table_mask_;
-      const Bucket& bj = table_[j];
-      if (bj.when == kNoBucket) break;
-      const std::size_t home = bucket_hash(bj.when) & table_mask_;
-      if (((j - home) & table_mask_) >= ((j - i) & table_mask_)) {
-        table_[i] = bj;
-        i = j;
-      }
-    }
-    table_[i].when = kNoBucket;
-    --table_count_;
+    Calendar::Slot* b = table_.find(when);
+    TimerNode* head = b->value.head;
+    table_.erase(b);
     return head;
   }
-  void grow_table();
 
   // --- node pool --------------------------------------------------------
   static constexpr std::size_t kSlabNodes = 512;
@@ -377,12 +353,10 @@ class Engine {
 
   SimTime now_{};
   ArenaVec<std::int64_t> heap_;  // distinct future timestamps
-  ArenaVec<Bucket> table_;       // open-addressing, power-of-two
-  std::size_t table_mask_ = 0;
-  std::size_t table_count_ = 0;
+  Calendar table_;                // timestamp → FIFO chain
   // Last bucket appended to (see push_future). kNoBucket = no memo.
   std::int64_t memo_when_ = kNoBucket;
-  std::size_t memo_idx_ = 0;
+  Calendar::Slot* memo_ = nullptr;
   // Remainder of the bucket being drained at the current instant. Nothing
   // can be appended to it (delays are strictly positive), so it lives
   // outside the table.
@@ -412,7 +386,7 @@ class Engine {
     bool finished = false;
   };
   std::uint64_t next_pid_ = 1;
-  std::unordered_map<std::uint64_t, std::unique_ptr<ProcessState>> processes_;
+  PageTable<ProcessState> processes_;  // by pid; ~Engine: newest first
   std::vector<std::uint64_t> reap_list_;
 
   // Wrapper coroutine that runs a task to completion and reports back.

@@ -12,6 +12,9 @@
 // Simulation code never throws across coroutine boundaries: protocol errors
 // are Result values, programming errors abort (see common/result.h), so
 // unhandled_exception terminates.
+//
+// Frames come from the calling thread's FramePool (sim/frame_pool.h), not
+// the global heap.
 #pragma once
 
 #include <coroutine>
@@ -20,6 +23,7 @@
 #include <utility>
 
 #include "common/assert.h"
+#include "sim/frame_pool.h"
 
 namespace ordma::sim {
 
@@ -30,6 +34,11 @@ namespace detail {
 
 struct PromiseBase {
   std::coroutine_handle<> continuation;
+
+  static void* operator new(std::size_t n) { return FramePool::allocate(n); }
+  static void operator delete(void* frame, std::size_t n) noexcept {
+    FramePool::deallocate(frame, n);
+  }
 
   std::suspend_always initial_suspend() noexcept { return {}; }
 

@@ -21,9 +21,8 @@ struct SharedState {
 // One read-ahead worker: repeatedly claims the next block offset and reads
 // it into its private buffer. `window` workers together form the
 // application's read-ahead window.
-sim::Task<void> worker(host::Host& host, core::FileClient& client,
-                       std::uint64_t fh, mem::Vaddr buf,
-                       std::shared_ptr<SharedState> st) {
+sim::Task<void> worker(core::FileClient& client, std::uint64_t fh,
+                       mem::Vaddr buf, std::shared_ptr<SharedState> st) {
   while (!st->failed && st->next_off < st->end) {
     const Bytes off = st->next_off;
     const Bytes chunk = std::min<Bytes>(st->block, st->end - off);
@@ -69,7 +68,7 @@ sim::Task<Result<StreamResult>> stream_read(host::Host& host,
     st->block = cfg.block;
     st->live_workers = cfg.window;
     for (unsigned w = 0; w < cfg.window; ++w) {
-      host.engine().spawn(worker(host, client, open.value().fh, bufs[w], st));
+      host.engine().spawn(worker(client, open.value().fh, bufs[w], st));
     }
     co_await st->done.wait();
     if (st->failed) co_return Errc::io_error;

@@ -192,7 +192,8 @@ void run_sharing_oracle(const RunConfig& rc) {
   c.dafs_server().set_commit_observer(
       [&oracle](fs::Ino, std::uint64_t fbn, std::uint64_t version,
                 std::uint64_t writer, SimTime when, std::uint32_t cksum) {
-        oracle.commits[fbn].push_back({version, writer, when.ns, cksum});
+        oracle.commits[fbn].push_back(
+            {version, writer, static_cast<std::uint64_t>(when.ns), cksum});
       });
 
   std::vector<std::unique_ptr<odafs::OdafsClient>> clients;
@@ -247,7 +248,7 @@ void run_sharing_oracle(const RunConfig& rc) {
           const std::uint64_t t0 = c.engine().now().ns;
           auto n = co_await cl.pread(fh, b * kBlock, buf, kBlock);
           const std::uint64_t t1 = c.engine().now().ns;
-          if (!rc.faults) EXPECT_TRUE(n.ok());
+          if (!rc.faults) { EXPECT_TRUE(n.ok()); }
           if (!n.ok()) continue;
           // The file never shrinks: an ok read returns every byte asked.
           EXPECT_EQ(n.value(), kBlock)
@@ -261,9 +262,9 @@ void run_sharing_oracle(const RunConfig& rc) {
         }
       }
       auto st = co_await cl.sync();
-      if (!rc.faults) EXPECT_TRUE(st.ok());
+      if (!rc.faults) { EXPECT_TRUE(st.ok()); }
       st = co_await cl.close(fh);
-      if (!rc.faults) EXPECT_TRUE(st.ok());
+      if (!rc.faults) { EXPECT_TRUE(st.ok()); }
       ++finished;
     }(c, oracle, *clients[ci], ci, rc, finished));
   }

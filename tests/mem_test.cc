@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/crc32.h"
+#include "host/host.h"
 #include "mem/address_space.h"
 #include "mem/physical_memory.h"
 
@@ -274,6 +275,26 @@ TEST_F(SpanOpsTest, FaultsLikeReadAndWrite) {
   // A write-protected source is still readable.
   EXPECT_TRUE(copy(dst_, 2 * kPageSize, src_, 0, 16).ok());
   EXPECT_TRUE(checksum(dst_, 2 * kPageSize, 16, 0).ok());
+}
+
+TEST(AddressSpace, MapUnmapCyclesKeepThePageTableBounded) {
+  // Host::map_new never reuses a VA, so only leaf release keeps the page
+  // table from growing with every cycle.
+  sim::Engine eng;
+  host::CostModel cm;
+  host::Host h(eng, "h", cm);
+  mem::AddressSpace& as = h.user_as();
+  const std::size_t pages = as.mapped_pages();
+  const std::size_t leaves = as.table_leaves();
+  std::size_t max_leaves = 0;
+  for (int i = 0; i < 10000; ++i) {
+    const Vaddr va = h.map_new(as, 2 * kPageSize);
+    max_leaves = std::max(max_leaves, as.table_leaves());
+    h.unmap(as, va, 2 * kPageSize);
+  }
+  EXPECT_LE(max_leaves, leaves + 2);  // a run may straddle two leaves
+  EXPECT_EQ(as.mapped_pages(), pages);
+  EXPECT_EQ(as.table_leaves(), leaves);
 }
 
 }  // namespace

@@ -545,5 +545,29 @@ TEST_F(NicTest, OrdmaDoesNotUseTargetHostCpu) {
   EXPECT_EQ((after.busy - before.busy).ns, 0);
 }
 
+TEST_F(NicTest, ExportRevokeCyclesKeepTheTablesBounded) {
+  // Every export takes a fresh segment id and NIC VA; neither is reused,
+  // so the TPT and TLB tables stay small only because a table leaf is
+  // released with its last entry.
+  const mem::Vaddr va = hb_->map_new(hb_->user_as(), mem::kPageSize);
+  std::size_t max_tpt_leaves = 0;
+  std::size_t max_tlb_leaves = 0;
+  for (int i = 0; i < 10000; ++i) {
+    auto cap = nb_->export_segment(hb_->user_as(), va, mem::kPageSize,
+                                   crypto::SegPerm::read, /*pin_now=*/true);
+    ASSERT_TRUE(cap.ok());
+    max_tpt_leaves = std::max(max_tpt_leaves, nb_->tpt().table_leaves());
+    max_tlb_leaves = std::max(max_tlb_leaves, nb_->tlb().table_leaves());
+    nb_->revoke_segment(cap.value().segment_id);
+  }
+  EXPECT_LE(max_tpt_leaves, 2u);  // one segment leaf, one page leaf
+  EXPECT_LE(max_tlb_leaves, 1u);
+  EXPECT_EQ(nb_->tpt().num_segments(), 0u);
+  EXPECT_EQ(nb_->tpt().table_leaves(), 0u);
+  EXPECT_EQ(nb_->tlb().size(), 0u);
+  EXPECT_EQ(nb_->tlb().table_leaves(), 0u);
+  EXPECT_EQ(hb_->user_as().lookup(mem::page_of(va))->pin_count, 0);
+}
+
 }  // namespace
 }  // namespace ordma::nic

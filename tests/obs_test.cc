@@ -67,7 +67,7 @@ TEST(TraceRecorder, OverflowLanesKeepSlicesDisjoint) {
   std::map<obs::TrackId, std::int64_t> last_end;
   rec.for_each_event([&](const auto& e) {
     auto it = last_end.find(e.track);
-    if (it != last_end.end()) EXPECT_GE(e.begin_ns, it->second);
+    if (it != last_end.end()) { EXPECT_GE(e.begin_ns, it->second); }
     last_end[e.track] = e.end_ns;
   });
 }

@@ -202,7 +202,7 @@ TEST_P(Seeded, XdrDecoderSurvivesRandomTruncation) {
     (void)dec.str();
     (void)dec.opaque();
     (void)dec.u64();
-    if (cut < full.size()) EXPECT_FALSE(dec.ok());
+    if (cut < full.size()) { EXPECT_FALSE(dec.ok()); }
   }
 }
 

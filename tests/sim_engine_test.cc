@@ -2,14 +2,21 @@
 // ordering, determinism, cancellation safety, resource accounting.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <optional>
+#include <thread>
 #include <vector>
 
 #include "sim/channel.h"
 #include "sim/engine.h"
 #include "sim/event.h"
+#include "sim/frame_pool.h"
 #include "sim/resource.h"
 #include "sim/task.h"
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
 
 namespace ordma::sim {
 namespace {
@@ -351,6 +358,94 @@ TEST(Engine, RunsAreBitReproducible) {
     return trace;
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+// A coroutine whose frame holds `N` bytes across its suspension point.
+template <std::size_t N>
+Task<int> frame_of_size(Engine& eng) {
+  std::array<std::byte, N> bytes{};
+  bytes[N - 1] = std::byte{7};
+  co_await eng.delay(nsec(1));
+  co_return static_cast<int>(bytes[N - 1]);
+}
+
+TEST(FramePool, SmallFramesArePooledAndRecycled) {
+  Engine eng;
+  const FramePool::Stats before = FramePool::stats();
+  void* address = nullptr;
+  {
+    Task<int> t = frame_of_size<256>(eng);
+    address = t.raw_handle().address();
+    EXPECT_EQ(FramePool::stats().live, before.live + 1);
+    EXPECT_EQ(FramePool::stats().heap_live, before.heap_live);
+  }
+  EXPECT_EQ(FramePool::stats().live, before.live);
+  // The class's free list is LIFO: the next frame of that size reuses it.
+  Task<int> again = frame_of_size<256>(eng);
+  EXPECT_EQ(again.raw_handle().address(), address);
+}
+
+TEST(FramePool, FramesBeyondTheLargestClassUseTheHeap) {
+  Engine eng;
+  const FramePool::Stats before = FramePool::stats();
+  {
+    Task<int> t = frame_of_size<2 * FramePool::kMaxPooled>(eng);
+    EXPECT_EQ(FramePool::stats().heap_live, before.heap_live + 1);
+    EXPECT_EQ(FramePool::stats().live, before.live);
+    // It still runs like any other task.
+    int got = 0;
+    eng.spawn([](Task<int> t, int& out) -> Task<void> {
+      out = co_await std::move(t);
+    }(std::move(t), got));
+    eng.run();
+    EXPECT_EQ(got, 7);
+  }
+  EXPECT_EQ(FramePool::stats().heap_live, before.heap_live);
+  EXPECT_EQ(FramePool::stats().live, before.live);
+}
+
+TEST(FramePool, EachThreadHasItsOwnPool) {
+  const FramePool::Stats mine = FramePool::stats();
+  FramePool::Stats theirs_live{};
+  FramePool::Stats theirs_done{};
+  std::thread([&] {
+    Engine eng;
+    {
+      Task<int> t = frame_of_size<128>(eng);
+      theirs_live = FramePool::stats();
+    }
+    theirs_done = FramePool::stats();
+  }).join();
+  EXPECT_EQ(theirs_live.live, 1u);
+  EXPECT_GE(theirs_live.chunks, 1u);
+  EXPECT_EQ(theirs_done.live, 0u);
+  EXPECT_EQ(FramePool::stats().live, mine.live);
+}
+
+TEST(FramePool, DestroyedFramesArePoisonedUnderAsan) {
+#if defined(__SANITIZE_ADDRESS__)
+  Engine eng;
+  const std::byte* frame = nullptr;
+  {
+    Task<int> t = frame_of_size<64>(eng);
+    frame = static_cast<const std::byte*>(t.raw_handle().address());
+    EXPECT_FALSE(__asan_address_is_poisoned(frame));
+  }
+  // Idle in the pool: touching the destroyed coroutine's frame faults...
+  EXPECT_TRUE(__asan_address_is_poisoned(frame));
+  EXPECT_DEATH(
+      {
+        volatile std::byte x = *frame;
+        (void)x;
+      },
+      "use-after-poison");
+  // ...until the pool hands the frame out again.
+  Task<int> again = frame_of_size<64>(eng);
+  EXPECT_EQ(again.raw_handle().address(), frame);
+  EXPECT_FALSE(__asan_address_is_poisoned(frame));
+#else
+  GTEST_SKIP() << "built without AddressSanitizer";
+#endif
 }
 
 }  // namespace

@@ -353,7 +353,7 @@ TortureResult run_torture(const TortureOptions& opt) {
     }
   }
 
-  if (opt.tracing) EXPECT_GT(rec.event_count(), 0u);
+  if (opt.tracing) { EXPECT_GT(rec.event_count(), 0u); }
   return out;  // `rec` uninstalls itself on destruction
 }
 

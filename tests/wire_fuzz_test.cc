@@ -94,17 +94,17 @@ bool decode_script(const std::vector<Token>& script,
     switch (t.kind) {
       case Token::Kind::u32: {
         const std::uint32_t v = dec.u32();
-        if (check_values) EXPECT_EQ(v, static_cast<std::uint32_t>(t.value));
+        if (check_values) { EXPECT_EQ(v, static_cast<std::uint32_t>(t.value)); }
         break;
       }
       case Token::Kind::u64: {
         const std::uint64_t v = dec.u64();
-        if (check_values) EXPECT_EQ(v, t.value);
+        if (check_values) { EXPECT_EQ(v, t.value); }
         break;
       }
       case Token::Kind::i64: {
         const std::int64_t v = dec.i64();
-        if (check_values) EXPECT_EQ(v, static_cast<std::int64_t>(t.value));
+        if (check_values) { EXPECT_EQ(v, static_cast<std::int64_t>(t.value)); }
         break;
       }
       case Token::Kind::opaque: {
@@ -118,7 +118,7 @@ bool decode_script(const std::vector<Token>& script,
       }
       case Token::Kind::str: {
         const std::string s = dec.str();
-        if (check_values) EXPECT_EQ(s, t.text);
+        if (check_values) { EXPECT_EQ(s, t.text); }
         break;
       }
     }
@@ -178,17 +178,17 @@ TEST(WireFuzz, StructDecodersSurviveArbitraryBytes) {
     {
       XdrDecoder dec(junk);
       (void)nas::decode_attr(dec);
-      if (junk.size() < 32) EXPECT_FALSE(dec.ok());
+      if (junk.size() < 32) { EXPECT_FALSE(dec.ok()); }
     }
     {
       XdrDecoder dec(junk);
       (void)nas::decode_cap(dec);
-      if (junk.size() < 40) EXPECT_FALSE(dec.ok());
+      if (junk.size() < 40) { EXPECT_FALSE(dec.ok()); }
     }
     {
       XdrDecoder dec(junk);
       (void)nas::decode_ref(dec);
-      if (junk.size() < 64) EXPECT_FALSE(dec.ok());
+      if (junk.size() < 64) { EXPECT_FALSE(dec.ok()); }
     }
   }
 }
@@ -327,17 +327,17 @@ TEST(WireFuzz, WritePathDecodersSurviveCorruptBytes) {
     {
       XdrDecoder dec(junk);
       (void)nas::decode_put_commit(dec);
-      if (junk.size() < 32) EXPECT_FALSE(dec.ok());
+      if (junk.size() < 32) { EXPECT_FALSE(dec.ok()); }
     }
     {
       XdrDecoder dec(junk);
       (void)nas::decode_invalidate(dec);
-      if (junk.size() < 24) EXPECT_FALSE(dec.ok());
+      if (junk.size() < 24) { EXPECT_FALSE(dec.ok()); }
     }
     {
       XdrDecoder dec(junk);
       (void)nas::decode_versioned_ref(dec);
-      if (junk.size() < 80) EXPECT_FALSE(dec.ok());
+      if (junk.size() < 80) { EXPECT_FALSE(dec.ok()); }
     }
   }
 }
