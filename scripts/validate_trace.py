@@ -51,8 +51,9 @@ FLIGHT_EVENTS = {
     "cache_hit", "cache_miss", "disk_read", "disk_write", "fault_drop",
     "fault_corrupt", "fault_duplicate", "fault_delay", "fault_stall",
     "fault_cap_revoke", "fault_tlb_inval", "fault_disk_error",
-    "fault_disk_spike", "op_giveup", "sample_keep", "sample_drop",
-    "slo_trip", "slo_clear",
+    "fault_disk_spike", "op_giveup", "put_commit", "put_reject",
+    "inval_send", "inval_recv", "inval_ack", "wb_flush", "fault_put_revoke",
+    "sample_keep", "sample_drop", "slo_trip", "slo_clear",
 }
 
 RING_RE = re.compile(

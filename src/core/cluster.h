@@ -187,7 +187,6 @@ class Cluster {
         {"invalidations_sent", [](auto& d) { return d.invalidations_sent(); }},
         {"invalidation_giveups",
          [](auto& d) { return d.invalidation_giveups(); }},
-        {"wb_syncs", [](auto& d) { return d.wb_syncs(); }},
         {"dup_replays", [](auto& d) { return d.dup_replays(); }},
         {"dup_drops", [](auto& d) { return d.dup_drops(); }},
     };

@@ -154,6 +154,22 @@ Result<Ino> ServerFs::lookup(Ino parent, const std::string& name) const {
   return it->second;
 }
 
+Result<Ino> ServerFs::resolve(const std::string& path) const {
+  Ino cur = kRootIno;
+  std::size_t start = 0;
+  while (start < path.size()) {
+    const auto slash = path.find('/', start);
+    const auto end = slash == std::string::npos ? path.size() : slash;
+    if (end > start) {
+      auto next = lookup(cur, path.substr(start, end - start));
+      if (!next.ok()) return next;
+      cur = next.value();
+    }
+    start = end + 1;
+  }
+  return cur;
+}
+
 Status ServerFs::remove(Ino parent, const std::string& name) {
   Inode* dir = inode(parent);
   if (!dir || dir->attr.type != FileType::directory) {

@@ -51,6 +51,9 @@ class ServerFs {
   // --- namespace -----------------------------------------------------------
   Result<Ino> create(Ino parent, const std::string& name, FileType type);
   Result<Ino> lookup(Ino parent, const std::string& name) const;
+  // Walk a '/'-separated path from the root (empty components skipped),
+  // one lookup per component; a missing component is not_found.
+  Result<Ino> resolve(const std::string& path) const;
   // Unlink: frees blocks and invalidates cache entries (fires evict hooks).
   Status remove(Ino parent, const std::string& name);
   Result<std::vector<std::string>> readdir(Ino dir) const;

@@ -34,8 +34,6 @@ class ViConnection {
         rx_(nic_.open_port(local_port)) {}
 
   net::NodeId peer_node() const { return peer_node_; }
-  Completion mode() const { return mode_; }
-  void set_mode(Completion m) { mode_ = m; }
 
   // Post a message to the peer's receive queue. `trace_op` rides on the GM
   // message as trace context (obs/trace.h).
@@ -55,22 +53,15 @@ class ViConnection {
     co_return std::move(msg.data);
   }
 
-  // RDMA through the connection (target side never sees an event — §2.1:
-  // "Only the RDMA initiator receives notification of completed events").
+  // RDMA read through the connection (target side never sees an event —
+  // §2.1: "Only the RDMA initiator receives notification of completed
+  // events").
   sim::Task<Result<net::Buffer>> rdma_read(mem::Vaddr va, Bytes len,
                                            const crypto::Capability& cap,
                                            obs::OpId trace_op = 0) {
     auto res = co_await nic_.gm_get(peer_node_, va, len, cap, trace_op);
     co_await charge_pickup(trace_op);
     co_return res;
-  }
-  sim::Task<Status> rdma_write(mem::Vaddr va, net::Buffer data,
-                               const crypto::Capability& cap,
-                               obs::OpId trace_op = 0) {
-    auto st = co_await nic_.gm_put(peer_node_, va, std::move(data), cap,
-                                   /*wait_ack=*/true, trace_op);
-    co_await charge_pickup(trace_op);
-    co_return st;
   }
 
  private:

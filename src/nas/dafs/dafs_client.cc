@@ -10,11 +10,12 @@ namespace ordma::nas::dafs {
 
 DafsClient::DafsClient(host::Host& host, net::NodeId server,
                        DafsClientConfig cfg)
-    : host_(host),
+    : FileClient(host),
       server_(server),
       cfg_(cfg),
-      trk_app_(host.name(), "app"),
-      trk_rpc_(host.name(), "dafs.rpc") {}
+      trk_rpc_(host.name(), "dafs.rpc"),
+      calls_(host.engine()),
+      regs_(host) {}
 
 sim::Task<Status> DafsClient::ensure_connected() {
   if (conn_) co_return Status::Ok();
@@ -52,10 +53,7 @@ sim::Task<void> DafsClient::rx_loop() {
       }
       continue;
     }
-    auto it = waiting_.find(req_id);
-    if (it == waiting_.end()) continue;   // late/duplicate: already answered
-    if (it->second->done.is_set()) continue;  // duplicate of this attempt
-    it->second->done.set(msg.slice(4, msg.size() - 4));
+    calls_.deliver(req_id, msg.slice(4, msg.size() - 4));  // late ones drop
   }
 }
 
@@ -67,7 +65,7 @@ sim::Task<Result<net::Buffer>> DafsClient::call(std::uint32_t proc,
   co_await host_.cpu_consume(cm.dafs_client_proc, trace_op,
                              "io/dafs_client_proc");
 
-  const std::uint32_t req_id = next_req_id_++;
+  const std::uint32_t req_id = calls_.open();
   rpc::XdrEncoder enc;
   enc.u32(req_id);
   enc.u32(proc);
@@ -79,12 +77,10 @@ sim::Task<Result<net::Buffer>> DafsClient::call(std::uint32_t proc,
   rpc::Retransmit rtx(cfg_.retry, host_, trk_rpc_, rtx_, req_id, trace_op);
   Result<net::Buffer> out = Errc::timed_out;
   for (;;) {
-    auto waiter = std::make_unique<Waiter>(host_.engine());
-    auto* wp = waiter.get();
-    waiting_[req_id] = std::move(waiter);  // fresh one-shot event per attempt
+    auto& done = calls_.arm(req_id);
     co_await conn_->send(net::Buffer(msg), trace_op);
     const SimTime wait0 = host_.engine().now();
-    auto got = co_await wp->done.wait_for(rtx.timeout());
+    auto got = co_await done.wait_for(rtx.timeout());
     if (got) {
       out = std::move(*got);
       break;
@@ -92,8 +88,13 @@ sim::Task<Result<net::Buffer>> DafsClient::call(std::uint32_t proc,
     rtx.timed_out(wait0);
     if (!rtx.next()) break;  // out = timed_out
   }
-  waiting_.erase(req_id);
-  co_return out;
+  calls_.close(req_id);
+  if (!out.ok()) co_return out;
+  rpc::XdrDecoder dec(out.value());
+  const auto status = static_cast<Errc>(dec.u32());
+  if (!dec.ok()) co_return Errc::io_error;
+  if (status != Errc::ok) co_return status;
+  co_return out.value().slice(4, out.value().size() - 4);
 }
 
 void DafsClient::decode_refs(rpc::XdrDecoder& dec, std::uint32_t count,
@@ -122,8 +123,6 @@ sim::Task<Result<OpenInfo>> DafsClient::dafs_open(const std::string& path,
   auto reply = co_await call(kOpen, std::move(args), trace_op);
   if (!reply.ok()) co_return reply.status();
   rpc::XdrDecoder dec(reply.value());
-  const auto status = static_cast<Errc>(dec.u32());
-  if (status != Errc::ok) co_return status;
   OpenInfo info;
   info.fh = dec.u64();
   info.size = dec.u64();
@@ -146,10 +145,7 @@ sim::Task<Status> DafsClient::dafs_close(std::uint64_t fh,
                                          obs::OpId trace_op) {
   rpc::XdrEncoder args;
   args.u64(fh);
-  auto reply = co_await call(kClose, std::move(args), trace_op);
-  if (!reply.ok()) co_return reply.status();
-  rpc::XdrDecoder dec(reply.value());
-  co_return Status(static_cast<Errc>(dec.u32()));
+  co_return (co_await call(kClose, std::move(args), trace_op)).status();
 }
 
 sim::Task<Result<DafsReadResult>> DafsClient::read_inline(std::uint64_t fh,
@@ -163,8 +159,6 @@ sim::Task<Result<DafsReadResult>> DafsClient::read_inline(std::uint64_t fh,
   auto reply = co_await call(kReadInline, std::move(args), trace_op);
   if (!reply.ok()) co_return reply.status();
   rpc::XdrDecoder dec(reply.value());
-  const auto status = static_cast<Errc>(dec.u32());
-  if (status != Errc::ok) co_return status;
 
   DafsReadResult out;
   out.n = dec.u32();
@@ -190,8 +184,6 @@ sim::Task<Result<DafsReadResult>> DafsClient::read_direct(
   auto reply = co_await call(kReadDirect, std::move(args), trace_op);
   if (!reply.ok()) co_return reply.status();
   rpc::XdrDecoder dec(reply.value());
-  const auto status = static_cast<Errc>(dec.u32());
-  if (status != Errc::ok) co_return status;
 
   DafsReadResult out;
   out.n = dec.u32();
@@ -214,8 +206,6 @@ sim::Task<Result<Bytes>> DafsClient::write_inline(
   auto reply = co_await call(kWriteInline, std::move(args), trace_op);
   if (!reply.ok()) co_return reply.status();
   rpc::XdrDecoder dec(reply.value());
-  const auto status = static_cast<Errc>(dec.u32());
-  if (status != Errc::ok) co_return status;
   co_return Bytes{dec.u32()};
 }
 
@@ -231,8 +221,6 @@ sim::Task<Result<Bytes>> DafsClient::write_direct(
   auto reply = co_await call(kWriteDirect, std::move(args), trace_op);
   if (!reply.ok()) co_return reply.status();
   rpc::XdrDecoder dec(reply.value());
-  const auto status = static_cast<Errc>(dec.u32());
-  if (status != Errc::ok) co_return status;
   co_return Bytes{dec.u32()};
 }
 
@@ -247,8 +235,6 @@ sim::Task<Result<DafsClient::PutCommitResult>> DafsClient::put_commit(
   auto reply = co_await call(kPutCommit, std::move(args), trace_op);
   if (!reply.ok()) co_return reply.status();
   rpc::XdrDecoder dec(reply.value());
-  const auto status = static_cast<Errc>(dec.u32());
-  if (status != Errc::ok) co_return status;
   PutCommitResult out;
   out.n = dec.u32();
   out.version = dec.u64();
@@ -270,38 +256,10 @@ sim::Task<Result<std::vector<Bytes>>> DafsClient::read_batch(
   auto reply = co_await call(kReadBatch, std::move(args));
   if (!reply.ok()) co_return reply.status();
   rpc::XdrDecoder dec(reply.value());
-  const auto status = static_cast<Errc>(dec.u32());
-  if (status != Errc::ok) co_return status;
   std::vector<Bytes> ns;
   ns.reserve(entries.size());
   for (std::size_t i = 0; i < entries.size(); ++i) ns.push_back(dec.u32());
   co_return ns;
-}
-
-sim::Task<Result<DafsClient::Registered*>> DafsClient::ensure_registered(
-    mem::Vaddr va, Bytes len, obs::OpId trace_op) {
-  auto lookup = [&]() -> Registered* {
-    for (auto& r : regs_) {
-      if (va >= r.host_base && va + len <= r.host_base + r.len) return &r;
-    }
-    return nullptr;
-  };
-  if (auto* r = lookup()) co_return r;
-  const mem::Vaddr base = va & ~(mem::kPageSize - 1);
-  const Bytes aligned_len =
-      ((va + len + mem::kPageSize - 1) & ~(mem::kPageSize - 1)) - base;
-  co_await host_.cpu_consume(host_.costs().memory_register, trace_op,
-                             "io/register");
-  // Re-check after the await: a concurrent caller may have registered the
-  // range while this one waited for the CPU (single-flight; duplicate
-  // exports would flood the NIC TLB with redundant pinned entries).
-  if (auto* r = lookup()) co_return r;
-  auto cap = host_.nic().export_segment(host_.user_as(), base, aligned_len,
-                                        crypto::SegPerm::read_write,
-                                        /*pin_now=*/true);
-  if (!cap.ok()) co_return cap.status();
-  regs_.push_back(Registered{base, aligned_len, cap.value()});
-  co_return &regs_.back();
 }
 
 // ---------------------------------------------------------------------------
@@ -330,19 +288,6 @@ sim::Task<Status> DafsClient::close(std::uint64_t fh) {
     co_return Status::Ok();  // delegation keeps the server-side open alive
   }
   co_return co_await dafs_close(fh);
-}
-
-sim::Task<Result<Bytes>> DafsClient::pread(std::uint64_t fh, Bytes off,
-                                           mem::Vaddr user_va, Bytes len) {
-  const obs::OpId op = obs::new_op();
-  const SimTime b = host_.engine().now();
-  auto r = co_await pread_op(fh, off, user_va, len, op);
-  if (!r.ok()) obs::note_op_error(op);
-  const SimTime e = host_.engine().now();
-  obs::root(trk_app_, op, "op/pread", b, e);
-  record_op(op, e - b, r.ok());
-  update_op_signals(len, static_cast<double>(e.ns) / 1000.0);
-  co_return r;
 }
 
 sim::Task<Result<Bytes>> DafsClient::pread_op(std::uint64_t fh, Bytes off,
@@ -386,19 +331,6 @@ sim::Task<Result<Bytes>> DafsClient::pread_op(std::uint64_t fh, Bytes off,
       });
 }
 
-sim::Task<Result<Bytes>> DafsClient::pwrite(std::uint64_t fh, Bytes off,
-                                            mem::Vaddr user_va, Bytes len) {
-  const obs::OpId op = obs::new_op();
-  const SimTime b = host_.engine().now();
-  auto r = co_await pwrite_op(fh, off, user_va, len, op);
-  if (!r.ok()) obs::note_op_error(op);
-  const SimTime e = host_.engine().now();
-  obs::root(trk_app_, op, "op/pwrite", b, e);
-  record_op(op, e - b, r.ok());
-  update_op_signals(len, static_cast<double>(e.ns) / 1000.0);
-  co_return r;
-}
-
 sim::Task<Result<Bytes>> DafsClient::pwrite_op(std::uint64_t fh, Bytes off,
                                                mem::Vaddr user_va, Bytes len,
                                                obs::OpId op) {
@@ -422,18 +354,6 @@ sim::Task<Result<Bytes>> DafsClient::pwrite_op(std::uint64_t fh, Bytes off,
       });
 }
 
-sim::Task<Result<fs::Attr>> DafsClient::getattr(std::uint64_t fh) {
-  const obs::OpId op = obs::new_op();
-  const SimTime b = host_.engine().now();
-  auto r = co_await getattr_op(fh, op);
-  if (!r.ok()) obs::note_op_error(op);
-  const SimTime e = host_.engine().now();
-  obs::root(trk_app_, op, "op/getattr", b, e);
-  record_op(op, e - b, r.ok());
-  sample_server_cpu(static_cast<double>(e.ns) / 1000.0);
-  co_return r;
-}
-
 sim::Task<Result<fs::Attr>> DafsClient::getattr_op(std::uint64_t fh,
                                                    obs::OpId op) {
   rpc::XdrEncoder args;
@@ -441,8 +361,6 @@ sim::Task<Result<fs::Attr>> DafsClient::getattr_op(std::uint64_t fh,
   auto reply = co_await call(kGetattr, std::move(args), op);
   if (!reply.ok()) co_return reply.status();
   rpc::XdrDecoder dec(reply.value());
-  const auto status = static_cast<Errc>(dec.u32());
-  if (status != Errc::ok) co_return status;
   co_return decode_attr(dec);
 }
 
@@ -453,8 +371,6 @@ sim::Task<Result<core::OpenResult>> DafsClient::create(
   auto reply = co_await call(kCreate, std::move(args));
   if (!reply.ok()) co_return reply.status();
   rpc::XdrDecoder dec(reply.value());
-  const auto status = static_cast<Errc>(dec.u32());
-  if (status != Errc::ok) co_return status;
   const std::uint64_t fh = dec.u64();
   const Bytes size = dec.u64();
   server_block_size_ = dec.u32();
@@ -465,10 +381,7 @@ sim::Task<Status> DafsClient::unlink(const std::string& path) {
   delegated_opens_.erase(path);
   rpc::XdrEncoder args;
   args.str(path);
-  auto reply = co_await call(kRemove, std::move(args));
-  if (!reply.ok()) co_return reply.status();
-  rpc::XdrDecoder dec(reply.value());
-  co_return Status(static_cast<Errc>(dec.u32()));
+  co_return (co_await call(kRemove, std::move(args))).status();
 }
 
 }  // namespace ordma::nas::dafs

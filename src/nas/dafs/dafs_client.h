@@ -7,7 +7,6 @@
 // caching/ODAFS layer above can populate its ORDMA directory.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -20,9 +19,10 @@
 #include "host/host.h"
 #include "msg/vi.h"
 #include "nas/dafs/dafs_proto.h"
+#include "nas/registration.h"
+#include "rpc/call_table.h"
 #include "rpc/rpc.h"
 #include "rpc/xdr.h"
-#include "sim/event.h"
 
 namespace ordma::nas::dafs {
 
@@ -131,36 +131,38 @@ class DafsClient : public core::FileClient {
 
   // Register a user buffer with the NIC (registration-cached). Returns the
   // entry mapping host addresses to NIC addresses.
-  struct Registered {
-    mem::Vaddr host_base = 0;
-    Bytes len = 0;
-    crypto::Capability cap;
-    mem::Vaddr nic_va(mem::Vaddr host_va) const {
-      return cap.base + (host_va - host_base);
-    }
-  };
+  using Registered = RegistrationCache::Registered;
   sim::Task<Result<Registered*>> ensure_registered(mem::Vaddr va, Bytes len,
-                                                   obs::OpId trace_op = 0);
+                                                   obs::OpId trace_op = 0) {
+    return regs_.ensure(va, len, trace_op);
+  }
+
+  // Client-issued RDMA read of server memory (an ORDMA get) over this
+  // client's VI connection, which charges the completion pickup. The
+  // references it reads through come in DAFS replies, so the connection
+  // is up.
+  sim::Task<Result<net::Buffer>> rdma_read(mem::Vaddr va, Bytes len,
+                                           const crypto::Capability& cap,
+                                           obs::OpId trace_op) {
+    ORDMA_CHECK_MSG(conn_ != nullptr, "rdma_read before the first call");
+    return conn_->rdma_read(va, len, cap, trace_op);
+  }
 
   // getattr body with explicit trace context (no root span of its own);
-  // exposed so OdafsClient's RPC fallback stays inside the caller's op.
-  sim::Task<Result<fs::Attr>> getattr_op(std::uint64_t fh, obs::OpId op);
+  // public so OdafsClient's RPC fallback stays inside the caller's op.
+  sim::Task<Result<fs::Attr>> getattr_op(std::uint64_t fh,
+                                         obs::OpId op) override;
 
   // --- FileClient --------------------------------------------------------
   sim::Task<Result<core::OpenResult>> open(const std::string& path) override;
   sim::Task<Status> close(std::uint64_t fh) override;
-  sim::Task<Result<Bytes>> pread(std::uint64_t fh, Bytes off,
-                                 mem::Vaddr user_va, Bytes len) override;
-  sim::Task<Result<Bytes>> pwrite(std::uint64_t fh, Bytes off,
-                                  mem::Vaddr user_va, Bytes len) override;
-  sim::Task<Result<fs::Attr>> getattr(std::uint64_t fh) override;
   sim::Task<Result<core::OpenResult>> create(const std::string& path) override;
   sim::Task<Status> unlink(const std::string& path) override;
   const char* protocol_name() const override { return "DAFS"; }
 
   net::NodeId server_node() const { return server_; }
   host::Host& host() { return host_; }
-  std::uint64_t rpcs_issued() const { return next_req_id_ - 1; }
+  std::uint64_t rpcs_issued() const { return calls_.issued(); }
   // --- reliability counters ------------------------------------------------
   std::uint64_t retransmits() const { return rtx_.retransmits; }
   std::uint64_t timeouts() const { return rtx_.timeouts; }
@@ -173,47 +175,38 @@ class DafsClient : public core::FileClient {
     return last_open_ ? &*last_open_ : nullptr;
   }
 
+ protected:
+  sim::Task<Result<Bytes>> pread_op(std::uint64_t fh, Bytes off,
+                                    mem::Vaddr user_va, Bytes len,
+                                    obs::OpId op) override;
+  sim::Task<Result<Bytes>> pwrite_op(std::uint64_t fh, Bytes off,
+                                     mem::Vaddr user_va, Bytes len,
+                                     obs::OpId op) override;
+
  private:
-  // Send `args` as proc `proc` and await the matched reply body (after
-  // req_id; status is the first u32 of the returned buffer).
+  // Send `args` as proc `proc` and await the matched reply. Returns the
+  // reply body after its status word, or a non-zero status as the error.
   sim::Task<Result<net::Buffer>> call(std::uint32_t proc,
                                       rpc::XdrEncoder args,
                                       obs::OpId trace_op = 0);
   sim::Task<Status> ensure_connected();
   sim::Task<void> rx_loop();
 
-  // FileClient bodies with explicit trace context; the public overrides
-  // wrap them in a fresh op id and its root ("op/...") span.
-  sim::Task<Result<Bytes>> pread_op(std::uint64_t fh, Bytes off,
-                                    mem::Vaddr user_va, Bytes len,
-                                    obs::OpId op);
-  sim::Task<Result<Bytes>> pwrite_op(std::uint64_t fh, Bytes off,
-                                     mem::Vaddr user_va, Bytes len,
-                                     obs::OpId op);
-
   static void decode_refs(rpc::XdrDecoder& dec, std::uint32_t count,
                           DafsReadResult& out);
 
-  host::Host& host_;
   net::NodeId server_;
   DafsClientConfig cfg_;
-  obs::Track trk_app_;  // root spans for this client's file ops
   obs::Track trk_rpc_;  // retransmit/backoff dead-air spans (explainer)
   std::unique_ptr<msg::ViConnection> conn_;
-  std::uint32_t next_req_id_ = 1;
-
-  struct Waiter {
-    explicit Waiter(sim::Engine& eng) : done(eng) {}
-    sim::Event<net::Buffer> done;
-  };
-  std::unordered_map<std::uint32_t, std::unique_ptr<Waiter>> waiting_;
+  rpc::CallTable<net::Buffer> calls_;  // by request id
 
   rpc::RetransmitCounts rtx_;
   std::uint64_t integrity_retries_ = 0;
   std::uint64_t invalidates_rx_ = 0;
   InvalidateHandler on_invalidate_;
 
-  std::deque<Registered> regs_;
+  RegistrationCache regs_;
   cache::DelegationTable delegations_;
   std::unordered_map<std::string, OpenInfo> delegated_opens_;
   std::optional<OpenInfo> last_open_;

@@ -28,17 +28,6 @@ DafsServer::DafsServer(host::Host& host, fs::ServerFs& fs,
     }
   });
   host_.engine().spawn(accept_loop());
-  if (cfg_.flush_interval.ns > 0) host_.engine().spawn(flush_loop());
-}
-
-sim::Task<void> DafsServer::flush_loop() {
-  // Deferred write-back of put-dirtied blocks: committed puts sit dirty in
-  // the buffer cache until the periodic sweep (or eviction) flushes them.
-  for (;;) {
-    co_await host_.engine().delay(cfg_.flush_interval);
-    auto st = co_await fs_.cache().sync();
-    if (st.ok()) ++wb_syncs_;
-  }
 }
 
 sim::Task<void> DafsServer::accept_loop() {
@@ -54,8 +43,7 @@ sim::Task<void> DafsServer::serve_connection(
   // handler sends its own reply on the shared connection and clients match
   // replies to requests by req_id.
   msg::ViConnection& c = *conn;
-  auto cache = std::make_shared<ConnCache>();
-  auto state = std::make_shared<ConnState>();
+  auto state = std::make_shared<ConnState>(host_.engine());
   state->id = next_conn_id_++;
   state->conn = &c;
   conns_.emplace(state->id, state);
@@ -63,8 +51,8 @@ sim::Task<void> DafsServer::serve_connection(
     nic::Nic::GmMessage msg = co_await c.recv_msg();
     {
       // Frames answering a server-initiated request (req_id high bit) are
-      // matched to their waiter right here — they are acks, not requests:
-      // no dedup cache, no handler, no reply.
+      // matched to their invalidation right here — they are acks, not
+      // requests: no dedup cache, no handler, no reply.
       rpc::XdrDecoder peek(msg.data);
       const std::uint32_t rid = peek.u32();
       const std::uint32_t proc = peek.u32();
@@ -72,18 +60,15 @@ sim::Task<void> DafsServer::serve_connection(
         if (proc == kInvalidateAck) {
           host_.flight().record(host_.engine().now().ns,
                                 obs::flight::Ev::inval_ack, rid);
-          if (auto it = state->waiting.find(rid);
-              it != state->waiting.end() && !it->second->done.is_set()) {
-            it->second->done.set();  // re-acked duplicates are ignored
-          }
+          state->invals.deliver(rid & ~kSrvReqBit);  // re-acks drop
         }
         continue;
       }
     }
     host_.engine().spawn([](DafsServer& srv, msg::ViConnection& c,
-                            std::shared_ptr<ConnCache> cache,
                             std::shared_ptr<ConnState> state,
                             nic::Nic::GmMessage msg) -> sim::Task<void> {
+      using Verdict = rpc::ReplyCache<net::Buffer>::Verdict;
       const obs::OpId op = msg.trace_op;
       std::uint32_t req_id = 0;
       {
@@ -91,32 +76,23 @@ sim::Task<void> DafsServer::serve_connection(
         req_id = peek.u32();
         if (!peek.ok()) co_return;  // runt frame
       }
-      if (auto it = cache->done.find(req_id); it != cache->done.end()) {
-        // Retransmission of a completed request: replay the cached reply
+      const auto seen = state->replies.admit(req_id);
+      if (seen.verdict == Verdict::replay) {
+        // Retransmission of an answered request: replay the stored reply
         // without re-executing the handler (mutations must not re-run).
         ++srv.dup_replays_;
-        co_await c.send(net::Buffer(it->second), op);
+        co_await c.send(net::Buffer(*seen.reply), op);
         co_return;
       }
-      if (!cache->in_progress.insert(req_id).second) {
+      if (seen.verdict == Verdict::drop) {
         ++srv.dup_drops_;  // original still executing; its reply will do
         co_return;
       }
       net::Buffer reply =
           co_await srv.handle(c, std::move(msg.data), op, state->id);
-      cache->in_progress.erase(req_id);
-      // Large replies (inline read data) are not worth caching; those
-      // requests are idempotent and simply re-execute on a late duplicate.
-      if (reply.size() <= kMaxCachedReply) {
-        cache->done.emplace(req_id, net::Buffer(reply));
-        cache->order.push_back(req_id);
-        while (cache->order.size() > kConnCacheCap) {
-          cache->done.erase(cache->order.front());
-          cache->order.pop_front();
-        }
-      }
+      state->replies.answer(req_id, reply, reply.size());
       co_await c.send(std::move(reply), op);
-    }(*this, c, cache, state, std::move(msg)));
+    }(*this, c, state, std::move(msg)));
   }
 }
 
@@ -485,13 +461,10 @@ sim::Task<bool> DafsServer::send_invalidate(std::uint64_t conn_id,
   auto cit = conns_.find(conn_id);
   if (cit == conns_.end()) co_return true;  // connection gone: nothing holds
   auto cs = cit->second;
-  const std::uint32_t rid = kSrvReqBit | cs->next_srv_req++;
-  auto waiter = std::make_unique<SrvWaiter>(host_.engine());
-  SrvWaiter& w = *waiter;
-  cs->waiting.emplace(rid, std::move(waiter));
+  const std::uint32_t id = cs->invals.open();
 
   rpc::XdrEncoder enc;
-  enc.u32(rid);
+  enc.u32(kSrvReqBit | id);
   enc.u32(kInvalidate);
   encode_invalidate(enc, InvalidateMsg{ino, fbn, version});
   const net::Buffer frame = enc.finish();
@@ -500,17 +473,15 @@ sim::Task<bool> DafsServer::send_invalidate(std::uint64_t conn_id,
   // client side is idempotent and re-acks) a bounded number of times, then
   // give up and drop the holder: its next read re-registers it.
   bool acked = false;
-  for (unsigned attempt = 1; attempt <= cfg_.inval_max_attempts; ++attempt) {
+  for (unsigned attempt = 1; attempt <= kInvalAttempts && !acked; ++attempt) {
+    auto& done = cs->invals.arm(id);
     ++invals_sent_;
     host_.flight().record(host_.engine().now().ns,
                           obs::flight::Ev::inval_send, ino, fbn, attempt);
     co_await cs->conn->send(net::Buffer(frame), trace_op);
-    if (co_await w.done.wait_for(cfg_.inval_timeout)) {
-      acked = true;
-      break;
-    }
+    acked = (co_await done.wait_for(kInvalTimeout)).has_value();
   }
-  cs->waiting.erase(rid);
+  cs->invals.close(id);
   if (!acked) ++inval_giveups_;
   co_return acked;
 }
@@ -535,28 +506,12 @@ sim::Task<net::Buffer> DafsServer::handle(msg::ViConnection& conn,
 
   switch (proc) {
     case kOpen: {
-      const std::string path = dec.str();
-      // Server-side path walk.
-      fs::Ino cur = fs::ServerFs::kRootIno;
-      std::size_t start = 0;
-      Status st = Status::Ok();
-      while (start < path.size()) {
-        const auto slash = path.find('/', start);
-        const auto end = slash == std::string::npos ? path.size() : slash;
-        if (end > start) {
-          auto next = fs_.lookup(cur, path.substr(start, end - start));
-          if (!next.ok()) {
-            st = next.status();
-            break;
-          }
-          cur = next.value();
-        }
-        start = end + 1;
-      }
-      if (!st.ok()) {
-        out.u32(err_u32(st.code()));
+      auto found = fs_.resolve(dec.str());
+      if (!found.ok()) {
+        out.u32(err_u32(found.code()));
         break;
       }
+      const fs::Ino cur = found.value();
       const auto attr = fs_.getattr(cur).value();
       out.u32(0);
       out.u64(attr.ino);
@@ -595,29 +550,15 @@ sim::Task<net::Buffer> DafsServer::handle(msg::ViConnection& conn,
       break;
     }
     case kCreate: {
+      // Create in the root, or in the directory the leading path names.
       const std::string path = dec.str();
-      // Create in the root or a subdirectory (path walk on all but leaf).
       const auto slash = path.rfind('/');
-      fs::Ino dir = fs::ServerFs::kRootIno;
-      std::string leaf = path;
-      if (slash != std::string::npos) {
-        leaf = path.substr(slash + 1);
-        fs::Ino cur = fs::ServerFs::kRootIno;
-        std::size_t start = 0;
-        while (start < slash) {
-          const auto s2 = path.find('/', start);
-          const auto end = std::min(s2 == std::string::npos ? slash : s2,
-                                    static_cast<std::size_t>(slash));
-          if (end > start) {
-            auto next = fs_.lookup(cur, path.substr(start, end - start));
-            if (!next.ok()) break;
-            cur = next.value();
-          }
-          start = end + 1;
-        }
-        dir = cur;
+      const bool nested = slash != std::string::npos;
+      auto ino = fs_.resolve(nested ? path.substr(0, slash) : "");
+      if (ino.ok()) {
+        ino = fs_.create(ino.value(), nested ? path.substr(slash + 1) : path,
+                         fs::FileType::regular);
       }
-      auto ino = fs_.create(dir, leaf, fs::FileType::regular);
       if (!ino.ok()) {
         out.u32(err_u32(ino.code()));
         break;

@@ -17,7 +17,6 @@
 // version.
 #pragma once
 
-#include <deque>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -27,8 +26,9 @@
 #include "host/host.h"
 #include "msg/vi.h"
 #include "nas/dafs/dafs_proto.h"
+#include "rpc/call_table.h"
+#include "rpc/reply_cache.h"
 #include "rpc/xdr.h"
-#include "sim/event.h"
 
 namespace ordma::nas::dafs {
 
@@ -45,13 +45,6 @@ struct DafsServerConfig {
   // Multi-client sharing: per-block version/holder map, versioned
   // piggybacked refs, and invalidations to conflicting holders.
   bool coherence = false;
-  // Deferred flush of put-dirtied cache blocks (0 = rely on eviction
-  // write-back and explicit sync only).
-  Duration flush_interval{0};
-  // Invalidation delivery policy: retransmit until acked, give up (and
-  // drop the holder) after this many attempts.
-  unsigned inval_max_attempts = 4;
-  Duration inval_timeout = usec(300);
 };
 
 class DafsServer {
@@ -72,7 +65,6 @@ class DafsServer {
   std::uint64_t put_rejects() const { return put_rejects_; }
   std::uint64_t invalidations_sent() const { return invals_sent_; }
   std::uint64_t invalidation_giveups() const { return inval_giveups_; }
-  std::uint64_t wb_syncs() const { return wb_syncs_; }
 
   // Observer fired at each write's commit point (after invalidations have
   // been acknowledged, before the reply is sent): both optimistic put
@@ -93,32 +85,23 @@ class DafsServer {
   }
 
  private:
-  // Per-connection duplicate-request suppression: req_ids are unique per
-  // connection, so a retransmission of an executing request is dropped and
-  // one of a completed request is answered from the cached reply without
-  // re-executing the handler. Shared with the spawned request handlers so
-  // it survives however long they run.
-  struct ConnCache {
-    std::unordered_set<std::uint32_t> in_progress;
-    std::unordered_map<std::uint32_t, net::Buffer> done;
-    std::deque<std::uint32_t> order;  // FIFO eviction of `done`
-  };
-  static constexpr std::size_t kConnCacheCap = 256;
-  static constexpr Bytes kMaxCachedReply = KiB(64);
+  // An invalidation is sent up to kInvalAttempts times, each attempt
+  // waiting kInvalTimeout for the ack; then the server gives up on it.
+  static constexpr unsigned kInvalAttempts = 4;
+  static constexpr Duration kInvalTimeout = usec(300);
 
   // A registered client connection: the endpoint for server-initiated
-  // invalidations, plus the waiter table matching invalidation acks back
-  // to their send loops. Lives as long as the server (connections never
-  // close in the simulated workloads).
-  struct SrvWaiter {
-    explicit SrvWaiter(sim::Engine& eng) : done(eng) {}
-    sim::Event<> done;
-  };
+  // invalidations, the table matching their acks (server request ids,
+  // kSrvReqBit clear) and the duplicate cache of the client's requests
+  // (request ids are unique per connection). Shared with the spawned
+  // request handlers, so it outlives however long they run; lives as long
+  // as the server (connections never close in the simulated workloads).
   struct ConnState {
+    explicit ConnState(sim::Engine& eng) : invals(eng) {}
     std::uint64_t id = 0;
     msg::ViConnection* conn = nullptr;
-    std::uint32_t next_srv_req = 1;
-    std::unordered_map<std::uint32_t, std::unique_ptr<SrvWaiter>> waiting;
+    rpc::CallTable<void> invals;
+    rpc::ReplyCache<net::Buffer> replies;
   };
 
   // Per-block sharing state: the commit version and which connections hold
@@ -158,7 +141,6 @@ class DafsServer {
   sim::Task<bool> send_invalidate(std::uint64_t conn_id, fs::Ino ino,
                                   std::uint64_t fbn, std::uint64_t version,
                                   obs::OpId trace_op);
-  sim::Task<void> flush_loop();
 
   // Ensure a cache block is exported; append (fbn, ref[, version]) to
   // `out`. `version` is the block's commit version captured by the caller
@@ -188,7 +170,6 @@ class DafsServer {
   std::uint64_t put_rejects_ = 0;
   std::uint64_t invals_sent_ = 0;
   std::uint64_t inval_giveups_ = 0;
-  std::uint64_t wb_syncs_ = 0;
 };
 
 }  // namespace ordma::nas::dafs

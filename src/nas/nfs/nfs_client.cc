@@ -26,11 +26,10 @@ std::vector<std::string> components(const std::string& path) {
 NfsClientBase::NfsClientBase(host::Host& host, msg::UdpStack& stack,
                              net::NodeId server, std::uint16_t local_port,
                              Bytes transfer_size, rpc::RpcRetryPolicy retry)
-    : host_(host),
+    : FileClient(host),
       rpc_(host, stack, local_port, retry),
       server_(server),
-      transfer_size_(transfer_size),
-      trk_app_(host.name(), "app") {}
+      transfer_size_(transfer_size) {}
 
 sim::Task<Result<fs::Attr>> NfsClientBase::resolve(const std::string& path) {
   fs::Attr cur;
@@ -87,20 +86,6 @@ sim::Task<Status> NfsClientBase::close(std::uint64_t) {
   co_return Status::Ok();
 }
 
-sim::Task<Result<Bytes>> NfsClientBase::pread(std::uint64_t fh, Bytes off,
-                                              mem::Vaddr user_va,
-                                              Bytes len) {
-  const obs::OpId op = obs::new_op();
-  const SimTime b = host_.engine().now();
-  auto r = co_await pread_op(fh, off, user_va, len, op);
-  if (!r.ok()) obs::note_op_error(op);
-  const SimTime e = host_.engine().now();
-  obs::root(trk_app_, op, "op/pread", b, e);
-  record_op(op, e - b, r.ok());
-  update_op_signals(len, static_cast<double>(e.ns) / 1000.0);
-  co_return r;
-}
-
 sim::Task<Result<Bytes>> NfsClientBase::pread_op(std::uint64_t fh, Bytes off,
                                                  mem::Vaddr user_va,
                                                  Bytes len, obs::OpId op) {
@@ -114,20 +99,6 @@ sim::Task<Result<Bytes>> NfsClientBase::pread_op(std::uint64_t fh, Bytes off,
     if (n.value() < chunk) break;  // EOF
   }
   co_return done;
-}
-
-sim::Task<Result<Bytes>> NfsClientBase::pwrite(std::uint64_t fh, Bytes off,
-                                               mem::Vaddr user_va,
-                                               Bytes len) {
-  const obs::OpId op = obs::new_op();
-  const SimTime b = host_.engine().now();
-  auto r = co_await pwrite_op(fh, off, user_va, len, op);
-  if (!r.ok()) obs::note_op_error(op);
-  const SimTime e = host_.engine().now();
-  obs::root(trk_app_, op, "op/pwrite", b, e);
-  record_op(op, e - b, r.ok());
-  update_op_signals(len, static_cast<double>(e.ns) / 1000.0);
-  co_return r;
 }
 
 sim::Task<Result<Bytes>> NfsClientBase::pwrite_op(std::uint64_t fh,
@@ -158,18 +129,6 @@ sim::Task<Result<Bytes>> NfsClientBase::pwrite_op(std::uint64_t fh,
     done += dec.u32();
   }
   co_return done;
-}
-
-sim::Task<Result<fs::Attr>> NfsClientBase::getattr(std::uint64_t fh) {
-  const obs::OpId op = obs::new_op();
-  const SimTime b = host_.engine().now();
-  auto r = co_await getattr_op(fh, op);
-  if (!r.ok()) obs::note_op_error(op);
-  const SimTime e = host_.engine().now();
-  obs::root(trk_app_, op, "op/getattr", b, e);
-  record_op(op, e - b, r.ok());
-  sample_server_cpu(static_cast<double>(e.ns) / 1000.0);
-  co_return r;
 }
 
 sim::Task<Result<fs::Attr>> NfsClientBase::getattr_op(std::uint64_t fh,
@@ -292,36 +251,16 @@ sim::Task<Result<Bytes>> NfsPrepostClient::read_chunk(std::uint64_t ino,
 // NFS hybrid: advertise a registered buffer, server RDMA-writes into it.
 // ---------------------------------------------------------------------------
 
-sim::Task<Result<NfsHybridClient::Registered*>>
-NfsHybridClient::ensure_registered(mem::Vaddr va, Bytes len, obs::OpId op) {
-  for (auto& r : regs_) {
-    if (va >= r.host_base && va + len <= r.host_base + r.len) co_return &r;
-  }
-  // Register the page-aligned range covering [va, va+len).
-  const mem::Vaddr base = va & ~(mem::kPageSize - 1);
-  const Bytes aligned_len =
-      ((va + len + mem::kPageSize - 1) & ~(mem::kPageSize - 1)) - base;
-  co_await host_.cpu_consume(host_.costs().memory_register, op,
-                             "io/register");
-  auto cap = host_.nic().export_segment(host_.user_as(), base, aligned_len,
-                                        crypto::SegPerm::read_write,
-                                        /*pin_now=*/true);
-  if (!cap.ok()) co_return cap.status();
-  ++registrations_;
-  regs_.push_back(Registered{base, aligned_len, cap.value()});
-  co_return &regs_.back();
-}
-
 sim::Task<Result<Bytes>> NfsHybridClient::read_chunk(std::uint64_t ino,
                                                      Bytes off,
                                                      mem::Vaddr user_va,
                                                      Bytes len,
                                                      obs::OpId op) {
   const auto& cm = host_.costs();
-  auto reg = co_await ensure_registered(user_va, len, op);
+  auto reg = co_await regs_.ensure(user_va, len, op);
   if (!reg.ok()) co_return reg.status();
-  const Registered& r = *reg.value();
-  const mem::Vaddr nic_va = r.cap.base + (user_va - r.host_base);
+  const RegistrationCache::Registered& r = *reg.value();
+  const mem::Vaddr nic_va = r.nic_va(user_va);
 
   // The server's RDMA write is unacked: a dropped data frame leaves the RPC
   // reply intact but the user buffer stale. Verify the landed bytes against

@@ -14,13 +14,13 @@
 #pragma once
 
 #include <string>
-#include <deque>
 #include <vector>
 
 #include "core/file_client.h"
 #include "host/host.h"
 #include "msg/udp.h"
 #include "nas/nfs/nfs_proto.h"
+#include "nas/registration.h"
 #include "rpc/rpc.h"
 
 namespace ordma::nas::nfs {
@@ -33,11 +33,6 @@ class NfsClientBase : public core::FileClient {
 
   sim::Task<Result<core::OpenResult>> open(const std::string& path) override;
   sim::Task<Status> close(std::uint64_t fh) override;
-  sim::Task<Result<Bytes>> pread(std::uint64_t fh, Bytes off,
-                                 mem::Vaddr user_va, Bytes len) override;
-  sim::Task<Result<Bytes>> pwrite(std::uint64_t fh, Bytes off,
-                                  mem::Vaddr user_va, Bytes len) override;
-  sim::Task<Result<fs::Attr>> getattr(std::uint64_t fh) override;
   sim::Task<Result<core::OpenResult>> create(const std::string& path) override;
   sim::Task<Status> unlink(const std::string& path) override;
 
@@ -46,6 +41,15 @@ class NfsClientBase : public core::FileClient {
   Bytes transfer_size() const { return transfer_size_; }
 
  protected:
+  sim::Task<Result<Bytes>> pread_op(std::uint64_t fh, Bytes off,
+                                    mem::Vaddr user_va, Bytes len,
+                                    obs::OpId op) override;
+  sim::Task<Result<Bytes>> pwrite_op(std::uint64_t fh, Bytes off,
+                                     mem::Vaddr user_va, Bytes len,
+                                     obs::OpId op) override;
+  sim::Task<Result<fs::Attr>> getattr_op(std::uint64_t fh,
+                                         obs::OpId op) override;
+
   // One wire READ of at most transfer_size bytes; returns bytes read.
   // `op` is the enclosing file operation's trace context (obs/trace.h).
   virtual sim::Task<Result<Bytes>> read_chunk(std::uint64_t ino, Bytes off,
@@ -58,23 +62,9 @@ class NfsClientBase : public core::FileClient {
   sim::Task<Result<std::pair<fs::Ino, std::string>>> resolve_parent(
       const std::string& path);
 
-  host::Host& host_;
   rpc::RpcClient rpc_;
   net::NodeId server_;
   Bytes transfer_size_;
-
- private:
-  // FileClient bodies with explicit trace context; the public overrides
-  // wrap them in a fresh op id and its root ("op/...") span.
-  sim::Task<Result<Bytes>> pread_op(std::uint64_t fh, Bytes off,
-                                    mem::Vaddr user_va, Bytes len,
-                                    obs::OpId op);
-  sim::Task<Result<Bytes>> pwrite_op(std::uint64_t fh, Bytes off,
-                                     mem::Vaddr user_va, Bytes len,
-                                     obs::OpId op);
-  sim::Task<Result<fs::Attr>> getattr_op(std::uint64_t fh, obs::OpId op);
-
-  obs::Track trk_app_;  // root spans for this client's file ops
 };
 
 class NfsClient final : public NfsClientBase {
@@ -104,7 +94,7 @@ class NfsHybridClient final : public NfsClientBase {
   using NfsClientBase::NfsClientBase;
   const char* protocol_name() const override { return "NFS hybrid"; }
 
-  std::uint64_t registrations() const { return registrations_; }
+  std::uint64_t registrations() const { return regs_.registrations(); }
   // Reads re-issued because the landed bytes failed checksum verification
   // (the server's unacked RDMA write was lost or corrupted).
   std::uint64_t integrity_retries() const { return integrity_retries_; }
@@ -115,17 +105,7 @@ class NfsHybridClient final : public NfsClientBase {
                                       obs::OpId op) override;
 
  private:
-  struct Registered {
-    mem::Vaddr host_base = 0;
-    Bytes len = 0;
-    crypto::Capability cap;
-  };
-  // Registration cache (§5.1: "avoid registering application buffers with
-  // the NIC on each I/O by caching registrations").
-  sim::Task<Result<Registered*>> ensure_registered(mem::Vaddr va, Bytes len,
-                                                   obs::OpId op);
-  std::deque<Registered> regs_;
-  std::uint64_t registrations_ = 0;
+  RegistrationCache regs_{host_};
   std::uint64_t integrity_retries_ = 0;
 };
 

@@ -11,11 +11,10 @@ namespace ordma::nas::odafs {
 
 OdafsClient::OdafsClient(host::Host& host, net::NodeId server,
                          OdafsClientConfig cfg)
-    : host_(host),
+    : FileClient(host),
       cfg_(cfg),
       dafs_(host, server, cfg.dafs),
       cache_(host, cfg.cache),
-      trk_app_(host.name(), "app"),
       policy_(cfg.policy, &signals_) {
   dafs_.set_invalidate_handler(
       [this](std::uint64_t ino, std::uint64_t fbn, std::uint64_t version) {
@@ -31,10 +30,6 @@ std::size_t OdafsClient::writeback_high_water() const {
   return std::max<std::size_t>(1, cache_.data_capacity() / 4);
 }
 
-double OdafsClient::wall_us() const {
-  return static_cast<double>(host_.engine().now().ns) / 1000.0;
-}
-
 sim::Task<Status> OdafsClient::ensure_slab_registered(obs::OpId op) {
   if (slab_reg_) co_return Status::Ok();
   auto reg = co_await dafs_.ensure_registered(cache_.slab_base(),
@@ -44,16 +39,6 @@ sim::Task<Status> OdafsClient::ensure_slab_registered(obs::OpId op) {
   // DafsClient's registration cache).
   slab_reg_ = *reg.value();
   co_return Status::Ok();
-}
-
-sim::Task<void> OdafsClient::charge_pickup(obs::OpId op) {
-  const auto& cm = host_.costs();
-  if (cfg_.dafs.completion == msg::Completion::poll) {
-    co_await host_.cpu_consume(cm.vi_poll_pickup, op, "io/pickup");
-  } else {
-    co_await host_.cpu_consume(cm.cpu_interrupt + cm.vi_block_wakeup, op,
-                               "io/pickup");
-  }
 }
 
 void OdafsClient::store_refs(std::uint64_t fh,
@@ -169,9 +154,7 @@ sim::Task<Result<cache::ClientCache::Header*>> OdafsClient::fetch_block(
     if (try_ordma) {
       const auto ref = *hdr.ref;
       const SimTime ot0 = host_.engine().now();
-      auto res = co_await host_.nic().gm_get(dafs_.server_node(), ref.va,
-                                             want, ref.cap, op);
-      co_await charge_pickup(op);
+      auto res = co_await dafs_.rdma_read(ref.va, want, ref.cap, op);
       const double ordma_us = (host_.engine().now() - ot0).to_us();
       if (res.ok()) {
         ++ordma_reads_;
@@ -285,19 +268,6 @@ sim::Task<Status> OdafsClient::close(std::uint64_t fh) {
   co_return co_await dafs_.close(fh);
 }
 
-sim::Task<Result<Bytes>> OdafsClient::pread(std::uint64_t fh, Bytes off,
-                                            mem::Vaddr user_va, Bytes len) {
-  const obs::OpId op = obs::new_op();
-  const SimTime b = host_.engine().now();
-  auto r = co_await pread_op(fh, off, user_va, len, op);
-  if (!r.ok()) obs::note_op_error(op);
-  const SimTime e = host_.engine().now();
-  obs::root(trk_app_, op, "op/pread", b, e);
-  record_op(op, e - b, r.ok());
-  update_op_signals(len, wall_us());
-  co_return r;
-}
-
 sim::Task<Result<Bytes>> OdafsClient::pread_op(std::uint64_t fh, Bytes off,
                                                mem::Vaddr user_va, Bytes len,
                                                obs::OpId op) {
@@ -380,19 +350,6 @@ sim::Task<Result<Bytes>> OdafsClient::pread_op(std::uint64_t fh, Bytes off,
   }
   co_await drain_guard.drain();
   co_return done;
-}
-
-sim::Task<Result<Bytes>> OdafsClient::pwrite(std::uint64_t fh, Bytes off,
-                                             mem::Vaddr user_va, Bytes len) {
-  const obs::OpId op = obs::new_op();
-  const SimTime b = host_.engine().now();
-  auto r = co_await pwrite_op(fh, off, user_va, len, op);
-  if (!r.ok()) obs::note_op_error(op);
-  const SimTime e = host_.engine().now();
-  obs::root(trk_app_, op, "op/pwrite", b, e);
-  record_op(op, e - b, r.ok());
-  update_op_signals(len, wall_us());
-  co_return r;
 }
 
 void OdafsClient::apply_local_write(std::uint64_t fh, Bytes off,
@@ -730,14 +687,8 @@ sim::Task<Status> OdafsClient::flush_oldest(obs::OpId op) {
 }
 
 sim::Task<Status> OdafsClient::sync() {
-  const obs::OpId op = obs::new_op();
-  const SimTime b = host_.engine().now();
-  auto st = co_await sync_op(op);
-  if (!st.ok()) obs::note_op_error(op);
-  const SimTime e = host_.engine().now();
-  obs::root(trk_app_, op, "op/sync", b, e);
-  record_op(op, e - b, st.ok());
-  co_return st;
+  co_return co_await run_op("op/sync",
+                            [this](obs::OpId op) { return sync_op(op); });
 }
 
 sim::Task<Status> OdafsClient::sync_op(obs::OpId op) {
@@ -789,18 +740,6 @@ void OdafsClient::handle_invalidate(std::uint64_t ino, std::uint64_t fbn,
   }
 }
 
-sim::Task<Result<fs::Attr>> OdafsClient::getattr(std::uint64_t fh) {
-  const obs::OpId op = obs::new_op();
-  const SimTime b = host_.engine().now();
-  auto r = co_await getattr_op(fh, op);
-  if (!r.ok()) obs::note_op_error(op);
-  const SimTime e = host_.engine().now();
-  obs::root(trk_app_, op, "op/getattr", b, e);
-  record_op(op, e - b, r.ok());
-  sample_server_cpu(wall_us());
-  co_return r;
-}
-
 sim::Task<Result<fs::Attr>> OdafsClient::getattr_op(std::uint64_t fh,
                                                     obs::OpId op) {
   // Attribute extension (§4.2.2 motivates "attribute accesses"): read the
@@ -808,11 +747,8 @@ sim::Task<Result<fs::Attr>> OdafsClient::getattr_op(std::uint64_t fh,
   // fault (revoked region) or stale record (reused slot) falls back to RPC.
   if (cfg_.use_ordma) {
     if (auto it = attr_refs_.find(fh); it != attr_refs_.end()) {
-      auto res = co_await host_.nic().gm_get(dafs_.server_node(),
-                                             it->second.va,
-                                             fs::ServerFs::kAttrRecordSize,
-                                             it->second.cap, op);
-      co_await charge_pickup(op);
+      auto res = co_await dafs_.rdma_read(
+          it->second.va, fs::ServerFs::kAttrRecordSize, it->second.cap, op);
       if (res.ok()) {
         auto attr = fs::ServerFs::decode_attr_record(res.value().view(), fh);
         if (attr.ok()) {

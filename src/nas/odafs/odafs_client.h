@@ -74,11 +74,6 @@ class OdafsClient : public core::FileClient {
   // --- FileClient ---------------------------------------------------------
   sim::Task<Result<core::OpenResult>> open(const std::string& path) override;
   sim::Task<Status> close(std::uint64_t fh) override;
-  sim::Task<Result<Bytes>> pread(std::uint64_t fh, Bytes off,
-                                 mem::Vaddr user_va, Bytes len) override;
-  sim::Task<Result<Bytes>> pwrite(std::uint64_t fh, Bytes off,
-                                  mem::Vaddr user_va, Bytes len) override;
-  sim::Task<Result<fs::Attr>> getattr(std::uint64_t fh) override;
   sim::Task<Result<core::OpenResult>> create(const std::string& path) override;
   sim::Task<Status> unlink(const std::string& path) override;
   // Flush every dirty write-back block through the put path (RPC fallback
@@ -126,24 +121,23 @@ class OdafsClient : public core::FileClient {
 
  private:
   sim::Task<Status> ensure_slab_registered(obs::OpId op);
-  // Harvest piggybacked references into cache headers.
-  void store_refs(std::uint64_t fh, const dafs::DafsReadResult& res);
-  sim::Task<void> charge_pickup(obs::OpId op);
-
-  // FileClient bodies with explicit trace context; the public overrides
-  // wrap them in a fresh op id and its root ("op/...") span.
   sim::Task<Result<Bytes>> pread_op(std::uint64_t fh, Bytes off,
                                     mem::Vaddr user_va, Bytes len,
-                                    obs::OpId op);
+                                    obs::OpId op) override;
   sim::Task<Result<Bytes>> pwrite_op(std::uint64_t fh, Bytes off,
                                      mem::Vaddr user_va, Bytes len,
-                                     obs::OpId op);
+                                     obs::OpId op) override;
+  sim::Task<Result<fs::Attr>> getattr_op(std::uint64_t fh,
+                                         obs::OpId op) override;
+
+  // Harvest piggybacked references into cache headers.
+  void store_refs(std::uint64_t fh, const dafs::DafsReadResult& res);
+
   // pwrite body for one concrete arm (`wp` is the effective policy for
   // this op — the static config, or the engine's per-op choice).
   sim::Task<Result<Bytes>> pwrite_arm(std::uint64_t fh, Bytes off,
                                       mem::Vaddr user_va, Bytes len,
                                       WritePolicy wp, obs::OpId op);
-  sim::Task<Result<fs::Attr>> getattr_op(std::uint64_t fh, obs::OpId op);
 
   // --- ORDMA write path ----------------------------------------------------
   // Optimistic put of `data` at absolute file offset `pos` (all within one
@@ -177,7 +171,6 @@ class OdafsClient : public core::FileClient {
   void handle_invalidate(std::uint64_t ino, std::uint64_t fbn,
                          std::uint64_t version);
   std::size_t writeback_high_water() const;
-  double wall_us() const;
 
   struct Inflight {
     explicit Inflight(sim::Engine& eng) : done(eng) {}
@@ -187,11 +180,9 @@ class OdafsClient : public core::FileClient {
     bool poisoned = false;
   };
 
-  host::Host& host_;
   OdafsClientConfig cfg_;
   dafs::DafsClient dafs_;
   cache::ClientCache cache_;
-  obs::Track trk_app_;  // root spans for this client's file ops
   cache::BlockMap<std::shared_ptr<Inflight>> inflight_;
   std::optional<dafs::DafsClient::Registered> slab_reg_;
   PageTable<Bytes> sizes_;  // fh → known file size

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
-#include <vector>
 
 #include "obs/sweep.h"
 
@@ -81,59 +80,23 @@ constexpr std::array<int, kCategoryCount> kPriority = {
     6,  // other
 };
 
-using Interval = SweepInterval;  // lane = Category
-
 }  // namespace
 
 std::map<OpId, Breakdown> attribute(const TraceRecorder& rec) {
-  struct OpSpans {
-    const TraceRecorder::Event* root = nullptr;
-    std::vector<Interval> leaves;
-  };
-  std::map<OpId, OpSpans> ops;
-  std::vector<Interval> ambient;  // op id 0 leaf spans
-
-  rec.for_each_event([&](const TraceRecorder::Event& ev) {
-    if (ev.kind == TraceRecorder::Kind::root) {
-      auto& slot = ops[ev.op];
-      if (!slot.root) slot.root = &ev;
-      return;
-    }
-    if (ev.kind != TraceRecorder::Kind::span) return;
-    const Interval iv{ev.begin_ns, ev.end_ns,
-                      static_cast<std::uint8_t>(categorize(ev.name))};
-    if (ev.op == 0) {
-      ambient.push_back(iv);
-    } else {
-      ops[ev.op].leaves.push_back(iv);
-    }
-  });
-  // Events are recorded at their end instant, so `ambient` is already
-  // ordered by nondecreasing end — binary search below relies on it.
-
   std::map<OpId, Breakdown> result;
-  for (auto& [op, spans] : ops) {
-    if (!spans.root) continue;  // leaf spans without an envelope
-    const std::int64_t b = spans.root->begin_ns;
-    const std::int64_t e = spans.root->end_ns;
-    // Ambient (op-0) work overlapping the envelope is charged to this op.
-    const auto lo = std::lower_bound(
-        ambient.begin(), ambient.end(), b,
-        [](const Interval& iv, std::int64_t t) { return iv.end < t; });
-    for (auto it = lo; it != ambient.end(); ++it) {
-      if (it->begin < e) spans.leaves.push_back(*it);
-    }
-    Breakdown out;
-    out.root_name = spans.root->name;
-    out.total_us = static_cast<double>(e - b) / 1000.0;
-    std::array<std::int64_t, kCategoryCount> ns{};
-    priority_sweep(b, e, spans.leaves, kPriority,
-                   static_cast<std::size_t>(Category::other), ns);
-    for (std::size_t i = 0; i < kCategoryCount; ++i) {
-      out.us[i] = static_cast<double>(ns[i]) / 1000.0;
-    }
-    result.emplace(op, out);
-  }
+  sweep_ops(
+      rec, kPriority, static_cast<std::size_t>(Category::other),
+      [](const TraceRecorder::Event&, const TraceRecorder::Event& leaf) {
+        return categorize(leaf.name);
+      },
+      [&](OpId op, const TraceRecorder::Event& root,
+          const std::array<double, kCategoryCount>& us) {
+        Breakdown& out = result[op];
+        out.root_name = root.name;
+        out.total_us =
+            static_cast<double>(root.end_ns - root.begin_ns) / 1000.0;
+        std::copy(us.begin(), us.end(), out.us);
+      });
   return result;
 }
 

@@ -119,69 +119,23 @@ double percentile(const std::vector<double>& sorted, double q) {
 }  // namespace
 
 std::map<OpId, CauseBreakdown> explain(const TraceRecorder& rec) {
-  struct OpSpans {
-    const TraceRecorder::Event* root = nullptr;
-    std::vector<const TraceRecorder::Event*> leaves;
-  };
-  std::map<OpId, OpSpans> ops;
-  std::vector<const TraceRecorder::Event*> ambient;  // op id 0 leaf spans
-
-  rec.for_each_event([&](const TraceRecorder::Event& ev) {
-    if (ev.kind == TraceRecorder::Kind::root) {
-      auto& slot = ops[ev.op];
-      if (!slot.root) slot.root = &ev;
-      return;
-    }
-    if (ev.kind != TraceRecorder::Kind::span) return;
-    if (ev.op == 0) {
-      ambient.push_back(&ev);
-    } else {
-      ops[ev.op].leaves.push_back(&ev);
-    }
-  });
-  // Events are recorded at their end instant, so `ambient` is ordered by
-  // nondecreasing end — the binary search below relies on it.
-
   std::map<OpId, CauseBreakdown> result;
-  for (auto& [op, spans] : ops) {
-    if (!spans.root) continue;  // leaf spans without an envelope
-    const std::int64_t b = spans.root->begin_ns;
-    const std::int64_t e = spans.root->end_ns;
-    const std::string& root_process = rec.track_process(spans.root->track);
-
-    // Ambient (op-0) work overlapping the envelope is charged to this op,
-    // same approximation as the Table-1 attributor.
-    const auto lo = std::lower_bound(
-        ambient.begin(), ambient.end(), b,
-        [](const TraceRecorder::Event* ev, std::int64_t t) {
-          return ev->end_ns < t;
-        });
-    std::vector<SweepInterval> leaves;
-    leaves.reserve(spans.leaves.size() + (ambient.end() - lo));
-    auto add = [&](const TraceRecorder::Event* ev) {
-      const Cause c =
-          classify(ev->name, rec.track_component(ev->track),
-                   rec.track_process(ev->track) == root_process);
-      leaves.push_back(SweepInterval{ev->begin_ns, ev->end_ns,
-                                     static_cast<std::uint8_t>(c)});
-    };
-    for (const auto* ev : spans.leaves) add(ev);
-    for (auto it = lo; it != ambient.end(); ++it) {
-      if ((*it)->begin_ns < e) add(*it);
-    }
-
-    CauseBreakdown out;
-    out.op = op;
-    out.root_name = spans.root->name;
-    out.total_us = static_cast<double>(e - b) / 1000.0;
-    std::array<std::int64_t, kCauseCount> ns{};
-    priority_sweep(b, e, leaves, kPriority,
-                   static_cast<std::size_t>(Cause::other), ns);
-    for (std::size_t i = 0; i < kCauseCount; ++i) {
-      out.us[i] = static_cast<double>(ns[i]) / 1000.0;
-    }
-    result.emplace(op, out);
-  }
+  sweep_ops(
+      rec, kPriority, static_cast<std::size_t>(Cause::other),
+      [&](const TraceRecorder::Event& root, const TraceRecorder::Event& leaf) {
+        return classify(leaf.name, rec.track_component(leaf.track),
+                        rec.track_process(leaf.track) ==
+                            rec.track_process(root.track));
+      },
+      [&](OpId op, const TraceRecorder::Event& root,
+          const std::array<double, kCauseCount>& us) {
+        CauseBreakdown& out = result[op];
+        out.op = op;
+        out.root_name = root.name;
+        out.total_us =
+            static_cast<double>(root.end_ns - root.begin_ns) / 1000.0;
+        std::copy(us.begin(), us.end(), out.us);
+      });
   return result;
 }
 

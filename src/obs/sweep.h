@@ -1,4 +1,4 @@
-// Generic priority sweep over one operation's interval.
+// Generic priority sweep over each traced operation's interval.
 //
 // Both the Table-1 overhead attributor (obs/attribution.h) and the
 // tail-latency cause explainer (obs/explain.h) answer the same question:
@@ -6,14 +6,18 @@
 // leaf intervals each tagged with a lane, charge every instant of the root
 // to exactly one lane — the highest-priority lane active at that instant —
 // so the per-lane totals partition the end-to-end time exactly. This header
-// is that shared machinery; the two callers differ only in how they map
-// spans to lanes.
+// is that shared machinery, from grouping a trace's spans by op to the
+// per-lane totals; the two callers differ only in how they map spans to
+// lanes.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <map>
 #include <vector>
+
+#include "obs/trace.h"
 
 namespace ordma::obs {
 
@@ -69,6 +73,65 @@ void priority_sweep(std::int64_t root_begin, std::int64_t root_end,
     active[b.lane] += b.delta;
   }
   charge(cursor, root_end);
+}
+
+// Fold every traced op of `rec` (ops with a root span), in op-id order.
+// An op's leaves are its own spans plus the ambient (op-0) spans that
+// overlap its envelope — exact for one-op-at-a-time workloads, an
+// approximation under concurrency (see DESIGN.md). `lane(root, leaf)` maps
+// a leaf span to its lane; `emit(op, root, us)` receives the per-lane
+// totals in µs.
+template <std::size_t N, typename LaneFn, typename EmitFn>
+void sweep_ops(const TraceRecorder& rec, const std::array<int, N>& priority,
+               std::size_t fallback, LaneFn lane, EmitFn emit) {
+  using Event = TraceRecorder::Event;
+  struct OpSpans {
+    const Event* root = nullptr;
+    std::vector<const Event*> leaves;
+  };
+  std::map<OpId, OpSpans> ops;
+  std::vector<const Event*> ambient;  // op id 0 leaf spans
+
+  rec.for_each_event([&](const Event& ev) {
+    if (ev.kind == TraceRecorder::Kind::root) {
+      auto& slot = ops[ev.op];
+      if (!slot.root) slot.root = &ev;
+      return;
+    }
+    if (ev.kind != TraceRecorder::Kind::span) return;
+    if (ev.op == 0) {
+      ambient.push_back(&ev);
+    } else {
+      ops[ev.op].leaves.push_back(&ev);
+    }
+  });
+  // Events are recorded at their end instant, so `ambient` is ordered by
+  // nondecreasing end — the binary search below relies on it.
+
+  std::vector<SweepInterval> leaves;
+  for (const auto& [op, spans] : ops) {
+    if (!spans.root) continue;  // leaf spans without an envelope
+    const Event& root = *spans.root;
+    const auto lo = std::lower_bound(
+        ambient.begin(), ambient.end(), root.begin_ns,
+        [](const Event* ev, std::int64_t t) { return ev->end_ns < t; });
+    leaves.clear();
+    auto add = [&](const Event& ev) {
+      leaves.push_back(SweepInterval{
+          ev.begin_ns, ev.end_ns, static_cast<std::uint8_t>(lane(root, ev))});
+    };
+    for (const Event* ev : spans.leaves) add(*ev);
+    for (auto it = lo; it != ambient.end(); ++it) {
+      if ((*it)->begin_ns < root.end_ns) add(**it);
+    }
+    std::array<std::int64_t, N> ns{};
+    priority_sweep(root.begin_ns, root.end_ns, leaves, priority, fallback, ns);
+    std::array<double, N> us{};
+    for (std::size_t i = 0; i < N; ++i) {
+      us[i] = static_cast<double>(ns[i]) / 1000.0;
+    }
+    emit(op, root, us);
+  }
 }
 
 }  // namespace ordma::obs

@@ -108,7 +108,7 @@ sim::Task<Result<RpcReplyInfo>> RpcClient::call(net::NodeId server,
                                                 const Prepost* prepost,
                                                 obs::OpId trace_op) {
   const auto& cm = host_.costs();
-  const std::uint32_t xid = next_xid_++;
+  const std::uint32_t xid = calls_.open();
   host_.flight().record(host_.engine().now().ns, obs::flight::Ev::rpc_call,
                         xid, proc);
 
@@ -126,17 +126,14 @@ sim::Task<Result<RpcReplyInfo>> RpcClient::call(net::NodeId server,
   Retransmit rtx(retry_, host_, rpc_track_, rtx_, xid, trace_op);
   Result<RpcReplyInfo> out = Errc::timed_out;
   for (;;) {
-    auto waiter = std::make_unique<Waiter>(host_.engine());
-    auto* wp = waiter.get();
-    waiting_[xid] = std::move(waiter);  // supersedes any prior attempt's
-
+    auto& done = calls_.arm(xid);
     co_await socket_.send_to(server, server_port, net::Buffer(msg),
                              /*rddp_xid=*/0, /*rddp_data_offset=*/0,
                              /*rddp_data_len=*/0, /*gather_send=*/false,
                              trace_op);
 
     const SimTime wait0 = host_.engine().now();
-    auto got = co_await wp->done.wait_for(rtx.timeout());
+    auto got = co_await done.wait_for(rtx.timeout());
     // A reply that did not consume the prepost leaves it armed; disarm
     // before accepting so no late duplicate can scribble on the buffer
     // after we return.
@@ -164,7 +161,7 @@ sim::Task<Result<RpcReplyInfo>> RpcClient::call(net::NodeId server,
       host_.nic().prepost(xid, *prepost->as, prepost->va, prepost->len);
     }
   }
-  waiting_.erase(xid);
+  calls_.close(xid);
   co_await host_.cpu_consume(cm.rpc_client_complete, trace_op,
                              "io/rpc_complete");
   co_return out;
@@ -180,10 +177,6 @@ sim::Task<void> RpcClient::rx_loop() {
     dec.u32();  // trace echo
     dec.u32();  // cksum — verified in call() against the raw bytes
     if (!dec.ok() || type != kRpcReply) continue;
-    auto it = waiting_.find(xid);
-    if (it == waiting_.end()) continue;       // duplicate/late reply
-    if (it->second->done.is_set()) continue;  // duplicate within one attempt
-
     RpcReplyInfo info;
     info.status = status;
     info.results =
@@ -191,7 +184,7 @@ sim::Task<void> RpcClient::rx_loop() {
     info.raw = d.data;
     info.rddp_placed = d.rddp_placed;
     info.rddp_data_len = d.rddp_data_len;
-    it->second->done.set(std::move(info));
+    calls_.deliver(xid, std::move(info));  // late/duplicate replies drop
   }
 }
 
@@ -204,17 +197,6 @@ sim::Task<void> RpcServer::rx_loop() {
     msg::UdpDatagram d = co_await socket_.recv();
     // One logical nfsd thread per request; the host CPU serialises work.
     host_.engine().spawn(serve_one(std::move(d)));
-  }
-}
-
-void RpcServer::trim_reply_cache() {
-  while (reply_cache_.size() > kReplyCacheCap && !reply_order_.empty()) {
-    const ReplyKey k = reply_order_.front();
-    reply_order_.pop_front();
-    auto it = reply_cache_.find(k);
-    if (it != reply_cache_.end() && !it->second.in_progress) {
-      reply_cache_.erase(it);
-    }
   }
 }
 
@@ -240,31 +222,32 @@ sim::Task<void> RpcServer::serve_one(msg::UdpDatagram d) {
     }
   }
 
-  const ReplyKey key{d.src, d.src_port, xid};
-  if (auto it = reply_cache_.find(key); it != reply_cache_.end()) {
-    if (it->second.in_progress) {
-      // Original still executing; its reply will serve the retransmission.
-      ++dup_drops_;
-      host_.flight().record(host_.engine().now().ns,
-                            obs::flight::Ev::srv_dup_drop, xid);
-      co_return;
-    }
+  // Node ids are dense from 0, so 16 bits of the key hold the client.
+  ORDMA_CHECK(d.src <= 0xffff);
+  const std::uint64_t key = (std::uint64_t{d.src} << 48) |
+                            (std::uint64_t{d.src_port} << 32) | xid;
+  const auto seen = replies_.admit(key);
+  if (seen.verdict == ReplyCache<SentReply>::Verdict::drop) {
+    ++dup_drops_;
+    host_.flight().record(host_.engine().now().ns,
+                          obs::flight::Ev::srv_dup_drop, xid);
+    co_return;
+  }
+  if (seen.verdict == ReplyCache<SentReply>::Verdict::replay) {
     ++dup_replays_;
     host_.flight().record(host_.engine().now().ns,
                           obs::flight::Ev::srv_dup_replay, xid);
-    // Copy out: the iterator may be invalidated by inserts across awaits.
-    ReplyEntry e = it->second;
+    SentReply r = *seen.reply;  // copy out: the cache may change meanwhile
     co_await host_.cpu().consume_parts(
         trace, std::array<sim::Resource::Part, 2>{{
                    {cm.cpu_schedule, "io/sched"},
                    {cm.rpc_server_dispatch, "io/rpc_dispatch"},
                }});
-    co_await socket_.send_to(d.src, d.src_port, std::move(e.reply),
-                             e.rddp_xid, e.data_offset, e.data_len,
-                             e.gather_send, trace);
+    co_await socket_.send_to(d.src, d.src_port, std::move(r.wire),
+                             r.rddp_xid, r.data_offset, r.data_len,
+                             r.gather_send, trace);
     co_return;
   }
-  reply_cache_.emplace(key, ReplyEntry{});  // in-progress marker
   host_.flight().record(host_.engine().now().ns, obs::flight::Ev::srv_serve,
                         xid, proc);
 
@@ -303,22 +286,10 @@ sim::Task<void> RpcServer::serve_one(msg::UdpDatagram d) {
       seal_message(std::move(body), xid, kRpcReply, reply.status, trace);
   const std::uint32_t rddp_xid = data_len > 0 ? xid : 0;
 
-  // Record the sealed reply before sending so a duplicate arriving during
-  // the send already replays instead of re-executing.
-  if (wire.size() <= kMaxCachedReply) {
-    ReplyEntry& e = reply_cache_[key];
-    e.in_progress = false;
-    e.reply = wire;
-    e.rddp_xid = rddp_xid;
-    e.data_offset = data_offset;
-    e.data_len = data_len;
-    e.gather_send = reply.gather_send;
-    reply_order_.push_back(key);
-    trim_reply_cache();
-  } else {
-    reply_cache_.erase(key);
-  }
-
+  replies_.answer(key,
+                  SentReply{wire, rddp_xid, data_offset, data_len,
+                            reply.gather_send},
+                  wire.size());
   co_await socket_.send_to(d.src, d.src_port, std::move(wire), rddp_xid,
                            data_offset, data_len, reply.gather_send, trace);
 }

@@ -19,23 +19,22 @@
 //
 // Reliability (exercised by fault injection, free of cost otherwise): a
 // client retransmits after a timeout with exponential backoff (RpcRetryPolicy;
-// the default policy waits forever, preserving classic behaviour), and the
-// server suppresses duplicate execution with a bounded per-(client,port,xid)
-// reply cache that replays the original reply for completed requests and
-// drops duplicates of requests still in progress.
+// the default policy waits forever, preserving classic behaviour), matching
+// replies by xid in a CallTable (rpc/call_table.h), and the server suppresses
+// duplicate execution with a per-(client,port,xid) ReplyCache
+// (rpc/reply_cache.h).
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <memory>
 #include <unordered_map>
 
 #include "common/result.h"
 #include "host/host.h"
 #include "msg/udp.h"
+#include "rpc/call_table.h"
+#include "rpc/reply_cache.h"
 #include "rpc/xdr.h"
-#include "sim/event.h"
 #include "sim/task.h"
 
 namespace ordma::rpc {
@@ -121,13 +120,12 @@ class RpcClient {
       : host_(host),
         socket_(stack.bind(local_port)),
         retry_(retry),
-        rpc_track_(host.name(), "rpc") {
+        rpc_track_(host.name(), "rpc"),
+        calls_(host.engine()) {
     host.engine().spawn(rx_loop());
   }
   RpcClient(const RpcClient&) = delete;
   RpcClient& operator=(const RpcClient&) = delete;
-
-  void set_retry_policy(RpcRetryPolicy retry) { retry_ = retry; }
 
   // Issue one call and await its reply. `trace_op` is marshalled into the
   // call header and echoed by the server's reply.
@@ -137,7 +135,7 @@ class RpcClient {
                                        const Prepost* prepost = nullptr,
                                        obs::OpId trace_op = 0);
 
-  std::uint64_t calls_issued() const { return next_xid_ - 1; }
+  std::uint64_t calls_issued() const { return calls_.issued(); }
   std::uint64_t retransmits() const { return rtx_.retransmits; }
   std::uint64_t timeouts() const { return rtx_.timeouts; }
   std::uint64_t cksum_drops() const { return cksum_drops_; }
@@ -146,11 +144,6 @@ class RpcClient {
   sim::Task<void> rx_loop();
   bool reply_checksum_ok(const RpcReplyInfo& info, const Prepost* prepost);
 
-  struct Waiter {
-    explicit Waiter(sim::Engine& eng) : done(eng) {}
-    sim::Event<RpcReplyInfo> done;
-  };
-
   host::Host& host_;
   msg::UdpStack::Socket& socket_;
   RpcRetryPolicy retry_;
@@ -158,8 +151,7 @@ class RpcClient {
   // window between a lost attempt and its retransmission, which the tail
   // explainer (obs/explain.h) surfaces as a first-class cause.
   obs::Track rpc_track_;
-  std::uint32_t next_xid_ = 1;
-  std::unordered_map<std::uint32_t, std::unique_ptr<Waiter>> waiting_;
+  CallTable<RpcReplyInfo> calls_;  // by xid
   RetransmitCounts rtx_;
   std::uint64_t cksum_drops_ = 0;
 };
@@ -204,33 +196,10 @@ class RpcServer {
   std::uint64_t cksum_drops() const { return cksum_drops_; }
 
  private:
-  // Duplicate-request suppression (classic NFS xid cache). Entries for
-  // requests still executing drop duplicates; completed entries replay the
-  // sealed reply datagram. Bounded FIFO; replies above kMaxCachedReply are
-  // not retained (re-executing a large read is idempotent and cheaper than
-  // pinning megabytes of reply buffers).
-  static constexpr std::size_t kReplyCacheCap = 256;
-  static constexpr Bytes kMaxCachedReply = KiB(64);
-
-  struct ReplyKey {
-    net::NodeId client = net::kInvalidNode;
-    std::uint16_t port = 0;
-    std::uint32_t xid = 0;
-    bool operator==(const ReplyKey&) const = default;
-  };
-  struct ReplyKeyHash {
-    std::size_t operator()(const ReplyKey& k) const {
-      std::uint64_t h = (std::uint64_t(k.client) << 48) ^
-                        (std::uint64_t(k.port) << 32) ^ k.xid;
-      h ^= h >> 33;
-      h *= 0xff51afd7ed558ccdull;
-      h ^= h >> 33;
-      return static_cast<std::size_t>(h);
-    }
-  };
-  struct ReplyEntry {
-    bool in_progress = true;
-    net::Buffer reply;  // sealed datagram (header | results | bulk)
+  // A sealed reply datagram (header | results | bulk) and how it was sent,
+  // kept for replay to a retransmitted call.
+  struct SentReply {
+    net::Buffer wire;
     std::uint32_t rddp_xid = 0;
     Bytes data_offset = 0;
     Bytes data_len = 0;
@@ -239,13 +208,11 @@ class RpcServer {
 
   sim::Task<void> rx_loop();
   sim::Task<void> serve_one(msg::UdpDatagram d);
-  void trim_reply_cache();
 
   host::Host& host_;
   msg::UdpStack::Socket& socket_;
   std::unordered_map<std::uint32_t, Handler> handlers_;
-  std::unordered_map<ReplyKey, ReplyEntry, ReplyKeyHash> reply_cache_;
-  std::deque<ReplyKey> reply_order_;  // completed entries only, FIFO
+  ReplyCache<SentReply> replies_;  // by (client, port, xid)
   std::uint64_t served_ = 0;
   std::uint64_t dup_replays_ = 0;
   std::uint64_t dup_drops_ = 0;

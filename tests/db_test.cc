@@ -17,7 +17,7 @@ namespace {
 // A loopback FileClient: files are plain byte vectors, no network.
 class FakeFileClient final : public core::FileClient {
  public:
-  explicit FakeFileClient(host::Host& host) : host_(host) {}
+  explicit FakeFileClient(host::Host& host) : FileClient(host) {}
 
   sim::Task<Result<core::OpenResult>> open(const std::string& path) override {
     co_await host_.engine().delay(usec(1));
@@ -28,8 +28,9 @@ class FakeFileClient final : public core::FileClient {
   sim::Task<Status> close(std::uint64_t) override {
     co_return Status::Ok();
   }
-  sim::Task<Result<Bytes>> pread(std::uint64_t fh, Bytes off,
-                                 mem::Vaddr user_va, Bytes len) override {
+  sim::Task<Result<Bytes>> pread_op(std::uint64_t fh, Bytes off,
+                                    mem::Vaddr user_va, Bytes len,
+                                    obs::OpId) override {
     co_await host_.engine().delay(usec(10));
     auto* f = by_fh(fh);
     if (!f) co_return Errc::stale;
@@ -43,8 +44,9 @@ class FakeFileClient final : public core::FileClient {
     }
     co_return n;
   }
-  sim::Task<Result<Bytes>> pwrite(std::uint64_t fh, Bytes off,
-                                  mem::Vaddr user_va, Bytes len) override {
+  sim::Task<Result<Bytes>> pwrite_op(std::uint64_t fh, Bytes off,
+                                     mem::Vaddr user_va, Bytes len,
+                                     obs::OpId) override {
     co_await host_.engine().delay(usec(10));
     auto* f = by_fh(fh);
     if (!f) co_return Errc::stale;
@@ -56,7 +58,8 @@ class FakeFileClient final : public core::FileClient {
     std::copy(tmp.begin(), tmp.end(), f->data.begin() + off);
     co_return len;
   }
-  sim::Task<Result<fs::Attr>> getattr(std::uint64_t fh) override {
+  sim::Task<Result<fs::Attr>> getattr_op(std::uint64_t fh,
+                                         obs::OpId) override {
     auto* f = by_fh(fh);
     if (!f) co_return Errc::stale;
     fs::Attr a;
@@ -89,7 +92,6 @@ class FakeFileClient final : public core::FileClient {
     }
     return nullptr;
   }
-  host::Host& host_;
   std::map<std::string, File> files_;
   std::uint64_t next_fh_ = 1;
 };

@@ -233,6 +233,19 @@ TEST_P(ProtocolConformance, UnlinkRemovesFile) {
   });
 }
 
+TEST_P(ProtocolConformance, CreateUnderMissingDirectoryFails) {
+  Rig rig(GetParam());
+  rig.drive([&]() -> sim::Task<void> {
+    auto created = co_await rig.client->create("nodir/f");
+    EXPECT_FALSE(created.ok());
+    EXPECT_EQ(created.code(), Errc::not_found);
+    // Nothing may have been created anywhere else instead.
+    auto open = co_await rig.client->open("f");
+    EXPECT_FALSE(open.ok());
+    EXPECT_EQ(open.code(), Errc::not_found);
+  });
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllProtocols, ProtocolConformance,
     ::testing::Values(Proto::nfs, Proto::prepost, Proto::hybrid, Proto::dafs,

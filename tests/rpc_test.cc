@@ -1,14 +1,18 @@
-// Unit tests for XDR marshalling and the RPC layer (including the RDDP-RPC
-// pre-posted direct placement path).
+// Unit tests for XDR marshalling, the RPC layer (including the RDDP-RPC
+// pre-posted direct placement path) and the request-matching and
+// duplicate-suppression types it shares with DAFS.
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "host/host.h"
 #include "msg/udp.h"
 #include "net/fabric.h"
 #include "nic/nic.h"
+#include "rpc/call_table.h"
+#include "rpc/reply_cache.h"
 #include "rpc/rpc.h"
 #include "rpc/xdr.h"
 #include "sim/engine.h"
@@ -278,6 +282,136 @@ TEST_F(RpcTest, ReplyCacheReplaysTheSealedReplyBytes) {
   ASSERT_EQ(replies.size(), 2u);
   EXPECT_EQ(replies[0], want_bytes);
   EXPECT_EQ(replies[1], want_bytes);
+}
+
+// --- CallTable ---------------------------------------------------------------
+
+TEST(CallTable, ReplyForAnIdWithNoLiveRequestIsDropped) {
+  sim::Engine eng;
+  CallTable<int> calls(eng);
+  EXPECT_FALSE(calls.deliver(1, 10));  // never opened
+  const std::uint32_t id = calls.open();
+  EXPECT_EQ(id, 1u);
+  EXPECT_FALSE(calls.deliver(id, 10));  // open, but no attempt armed
+  calls.arm(id);
+  calls.close(id);
+  EXPECT_FALSE(calls.deliver(id, 10));  // answered or abandoned: late
+  EXPECT_EQ(calls.live(), 0u);
+}
+
+TEST(CallTable, SecondReplyWithinOneAttemptIsDropped) {
+  sim::Engine eng;
+  CallTable<int> calls(eng);
+  const std::uint32_t id = calls.open();
+  auto& done = calls.arm(id);
+  EXPECT_TRUE(calls.deliver(id, 1));
+  EXPECT_FALSE(calls.deliver(id, 2));  // a duplicate of the same reply
+  ASSERT_TRUE(done.is_set());
+  EXPECT_EQ(done.peek(), 1);
+}
+
+TEST(CallTable, ReplyDuringARetransmissionsWaitCompletesTheCurrentAttempt) {
+  // Attempt 1 times out at 10 us; the reply (to either attempt — the wire
+  // cannot tell them apart) lands at 15 us, inside attempt 2's wait.
+  sim::Engine eng;
+  CallTable<int> calls(eng);
+  const std::uint32_t id = calls.open();
+  std::vector<std::optional<int>> got;
+  SimTime answered_at{};
+  eng.spawn([](CallTable<int>& calls, std::uint32_t id, sim::Engine& eng,
+               std::vector<std::optional<int>>& got,
+               SimTime& answered_at) -> sim::Task<void> {
+    for (int attempt = 0; attempt < 2; ++attempt) {
+      auto& done = calls.arm(id);
+      got.push_back(co_await done.wait_for(usec(10)));
+    }
+    answered_at = eng.now();
+    calls.close(id);
+  }(calls, id, eng, got, answered_at));
+  eng.spawn([](CallTable<int>& calls, std::uint32_t id,
+               sim::Engine& eng) -> sim::Task<void> {
+    co_await eng.delay(usec(15));
+    EXPECT_TRUE(calls.deliver(id, 7));
+  }(calls, id, eng));
+  eng.run();
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_FALSE(got[0].has_value());
+  EXPECT_EQ(got[1], std::optional<int>(7));
+  EXPECT_EQ(answered_at.ns, usec(15).ns);
+  EXPECT_EQ(calls.live(), 0u);
+}
+
+TEST(CallTable, EmptyAfterABurstOfAnsweredAndAbandonedRequests) {
+  sim::Engine eng;
+  CallTable<void> calls(eng);
+  std::vector<std::uint32_t> ids;
+  for (int i = 0; i < 2000; ++i) {
+    ids.push_back(calls.open());
+    calls.arm(ids.back());
+    if (i % 3 != 0) {
+      EXPECT_TRUE(calls.deliver(ids.back()));  // answered
+    }
+  }
+  EXPECT_EQ(calls.live(), 2000u);
+  for (const auto id : ids) calls.close(id);
+  EXPECT_EQ(calls.live(), 0u);
+  EXPECT_EQ(calls.issued(), 2000u);
+  EXPECT_EQ(calls.open(), 2001u);  // ids are never reused
+}
+
+// --- ReplyCache --------------------------------------------------------------
+
+using Cache = ReplyCache<std::string>;
+
+TEST(ReplyCache, DuplicateOfAnExecutingRequestIsDropped) {
+  Cache cache;
+  EXPECT_EQ(cache.admit(5).verdict, Cache::Verdict::execute);
+  EXPECT_EQ(cache.admit(5).verdict, Cache::Verdict::drop);
+  EXPECT_EQ(cache.admit(5).verdict, Cache::Verdict::drop);
+}
+
+TEST(ReplyCache, DuplicateOfAnAnsweredRequestReplaysTheStoredBytes) {
+  Cache cache;
+  ASSERT_EQ(cache.admit(5).verdict, Cache::Verdict::execute);
+  cache.answer(5, "reply-bytes", 11);
+  const auto seen = cache.admit(5);
+  ASSERT_EQ(seen.verdict, Cache::Verdict::replay);
+  EXPECT_EQ(*seen.reply, "reply-bytes");
+  EXPECT_EQ(cache.admit(5).verdict, Cache::Verdict::replay);  // every time
+}
+
+TEST(ReplyCache, ReplyOver64KBIsNotKept) {
+  Cache cache;
+  cache.admit(1);
+  cache.answer(1, "at the limit", Cache::kMaxReplyBytes);
+  cache.admit(2);
+  cache.answer(2, "over the limit", Cache::kMaxReplyBytes + 1);
+  EXPECT_EQ(cache.admit(1).verdict, Cache::Verdict::replay);
+  EXPECT_EQ(cache.admit(2).verdict, Cache::Verdict::execute);  // runs again
+}
+
+TEST(ReplyCache, The257thAnsweredReplyEvictsTheOldest) {
+  Cache cache;
+  for (std::uint64_t k = 1; k <= Cache::kMaxAnswered + 1; ++k) {
+    ASSERT_EQ(cache.admit(k).verdict, Cache::Verdict::execute);
+    cache.answer(k, std::to_string(k), 8);
+  }
+  EXPECT_EQ(Cache::kMaxAnswered, 256u);
+  EXPECT_EQ(cache.admit(2).verdict, Cache::Verdict::replay);
+  EXPECT_EQ(cache.admit(257).verdict, Cache::Verdict::replay);
+  EXPECT_EQ(cache.admit(1).verdict, Cache::Verdict::execute);  // evicted
+}
+
+TEST(ReplyCache, AnExecutingEntrySurvivesEviction) {
+  Cache cache;
+  ASSERT_EQ(cache.admit(1000).verdict, Cache::Verdict::execute);
+  for (std::uint64_t k = 1; k <= 3 * Cache::kMaxAnswered; ++k) {
+    cache.admit(k);
+    cache.answer(k, "r", 1);
+  }
+  EXPECT_EQ(cache.admit(1000).verdict, Cache::Verdict::drop);
+  cache.answer(1000, "late", 4);
+  EXPECT_EQ(cache.admit(1000).verdict, Cache::Verdict::replay);
 }
 
 }  // namespace
