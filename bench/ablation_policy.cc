@@ -21,7 +21,6 @@
 // cells. --json=<file> emits ordma.bench.v1 for scripts/bench_compare.py.
 #include <memory>
 #include <string>
-#include <string_view>
 
 #include "bench_json.h"
 #include "bench_util.h"
@@ -180,11 +179,7 @@ int main(int argc, char** argv) {
   using namespace ordma;
   using namespace ordma::bench;
 
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg.substr(0, 7) == "--json=") json_path = std::string(arg.substr(7));
-  }
+  const std::string json = json_path(argc, argv);
 
   // The full grid: 3 block sizes + 3 success rates + 2 fault duty cycles,
   // every point measured for all five arms. Crossover cells are the two
@@ -267,13 +262,6 @@ int main(int argc, char** argv) {
     ok = false;
   }
 
-  if (!json_path.empty()) {
-    if (report.write_file(json_path)) {
-      std::printf("bench json written to %s\n", json_path.c_str());
-    } else {
-      std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
-      return 1;
-    }
-  }
+  if (!write_json(report, json)) return 1;
   return ok ? 0 : 1;
 }

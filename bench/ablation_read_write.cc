@@ -14,7 +14,6 @@
 // against the committed BENCH_write.json: the put path must keep beating
 // write-through RPC at every mixed grid point.
 #include <memory>
-#include <string_view>
 
 #include "bench_util.h"
 #include "bench_json.h"
@@ -98,11 +97,7 @@ int main(int argc, char** argv) {
   using namespace ordma::bench;
   using nas::odafs::WritePolicy;
 
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg.substr(0, 7) == "--json=") json_path = std::string(arg.substr(7));
-  }
+  const std::string json = json_path(argc, argv);
 
   Table t("Ablation A5: ORDMA write path vs write-through RPC by read/write"
           " mix (4KB ops, 25% client cache hit ratio)",
@@ -143,13 +138,6 @@ int main(int argc, char** argv) {
       " trip instead of a data-bearing RPC (no per-byte server CPU), so the"
       " write share no longer erases the ODAFS advantage\n");
 
-  if (!json_path.empty()) {
-    if (report.write_file(json_path)) {
-      std::printf("bench json written to %s\n", json_path.c_str());
-    } else {
-      std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
-      return 1;
-    }
-  }
+  if (!write_json(report, json)) return 1;
   return 0;
 }

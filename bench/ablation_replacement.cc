@@ -10,7 +10,6 @@
 //
 // --json=<file> emits ordma.bench.v1 for perf-regression gating.
 #include <memory>
-#include <string_view>
 
 #include "bench_json.h"
 #include "bench_util.h"
@@ -116,11 +115,7 @@ int main(int argc, char** argv) {
   using namespace ordma;
   using namespace ordma::bench;
 
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg.substr(0, 7) == "--json=") json_path = std::string(arg.substr(7));
-  }
+  const std::string json = json_path(argc, argv);
 
   Table t("Ablation A2: ORDMA directory replacement policy"
           " (skewed access, directory covers half the file set)",
@@ -147,21 +142,13 @@ int main(int argc, char** argv) {
       mq.ordma_fraction * 100.0, lru.ordma_fraction * 100.0,
       arc.ordma_fraction * 100.0);
 
-  if (!json_path.empty()) {
-    BenchReport report("ablation_replacement");
-    for (std::size_t i = 0; i < std::size(policies); ++i) {
-      const std::string p = policies[i];
-      report.add(p + "_txns_per_sec", cells[i].txns_per_sec, "txns/s",
-                 /*higher_is_better=*/true, 0.02);
-      report.add(p + "_ordma_fraction", cells[i].ordma_fraction, "fraction",
-                 /*higher_is_better=*/true, 0.02);
-    }
-    if (report.write_file(json_path)) {
-      std::printf("bench json written to %s\n", json_path.c_str());
-    } else {
-      std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
-      return 1;
-    }
+  BenchReport report("ablation_replacement");
+  for (std::size_t i = 0; i < std::size(policies); ++i) {
+    const std::string p = policies[i];
+    report.add(p + "_txns_per_sec", cells[i].txns_per_sec, "txns/s",
+               /*higher_is_better=*/true, 0.02);
+    report.add(p + "_ordma_fraction", cells[i].ordma_fraction, "fraction",
+               /*higher_is_better=*/true, 0.02);
   }
-  return 0;
+  return write_json(report, json) ? 0 : 1;
 }

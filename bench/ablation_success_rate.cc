@@ -9,7 +9,6 @@
 //
 // --json=<file> emits ordma.bench.v1 for perf-regression gating.
 #include <memory>
-#include <string_view>
 
 #include "bench_json.h"
 #include "bench_util.h"
@@ -87,11 +86,7 @@ int main(int argc, char** argv) {
   using namespace ordma;
   using namespace ordma::bench;
 
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg.substr(0, 7) == "--json=") json_path = std::string(arg.substr(7));
-  }
+  const std::string json = json_path(argc, argv);
 
   Table t("Ablation A4: ODAFS vs DAFS as ORDMA success rate falls"
           " (server cache as a fraction of the file set)",
@@ -138,13 +133,6 @@ int main(int argc, char** argv) {
       " exactly §4.2.2's limitation (the ARC directory tracks LRU here:"
       " uniform random access has no frequency structure to exploit)\n");
 
-  if (!json_path.empty()) {
-    if (report.write_file(json_path)) {
-      std::printf("bench json written to %s\n", json_path.c_str());
-    } else {
-      std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
-      return 1;
-    }
-  }
+  if (!write_json(report, json)) return 1;
   return 0;
 }

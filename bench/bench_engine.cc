@@ -10,7 +10,6 @@
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "bench_json.h"
@@ -215,11 +214,7 @@ int main(int argc, char** argv) {
 
   // --json=<file>: ordma.bench.v1 metrics for scripts/bench_compare.py
   // (BENCH_engine.json in the repo root is the committed baseline).
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg.substr(0, 7) == "--json=") json_path = std::string(arg.substr(7));
-  }
+  const std::string json = json_path(argc, argv);
 
   constexpr std::uint64_t kMicroEvents = 4'000'000;
 
@@ -259,28 +254,20 @@ int main(int argc, char** argv) {
   std::printf("\nsampled obs throughput ratio (sampled/plain): %.3f\n",
               sampled_overhead);
 
-  if (!json_path.empty()) {
-    BenchReport report("bench_engine");
-    for (const auto& r : results) {
-      // Wall-clock rates on a shared runner swing hard: a loose band keeps
-      // the gate meaningful (order-of-magnitude regressions) without
-      // tripping on noisy neighbours.
-      report.add(r.name + "_events_per_sec", r.events_per_sec(), "events/s",
-                 /*higher_is_better=*/true, 0.6);
-    }
-    // The ratio is noise-cancelled (see above) so it takes a band an order
-    // of magnitude tighter than the raw rates: nominal is ~0.95-1.0 (the
-    // sampling budget is <= ~5% of obs-off throughput), and an 8% band
-    // below the committed baseline still catches every real staging-path
-    // regression while tolerating shared-runner cache pollution.
-    report.add("sampled_obs_overhead", sampled_overhead, "ratio",
-               /*higher_is_better=*/true, 0.08);
-    if (report.write_file(json_path)) {
-      std::printf("\nbench json written to %s\n", json_path.c_str());
-    } else {
-      std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
-      return 1;
-    }
+  BenchReport report("bench_engine");
+  for (const auto& r : results) {
+    // Wall-clock rates on a shared runner swing hard: a loose band keeps
+    // the gate meaningful (order-of-magnitude regressions) without
+    // tripping on noisy neighbours.
+    report.add(r.name + "_events_per_sec", r.events_per_sec(), "events/s",
+               /*higher_is_better=*/true, 0.6);
   }
-  return 0;
+  // The ratio is noise-cancelled (see above) so it takes a band an order
+  // of magnitude tighter than the raw rates: nominal is ~0.95-1.0 (the
+  // sampling budget is <= ~5% of obs-off throughput), and an 8% band
+  // below the committed baseline still catches every real staging-path
+  // regression while tolerating shared-runner cache pollution.
+  report.add("sampled_obs_overhead", sampled_overhead, "ratio",
+             /*higher_is_better=*/true, 0.08);
+  return write_json(report, json, "\n") ? 0 : 1;
 }

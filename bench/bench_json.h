@@ -27,6 +27,7 @@
 
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -77,5 +78,29 @@ class BenchReport {
   std::string bench_;
   std::vector<Metric> metrics_;
 };
+
+// The <file> of the last --json=<file> argument; "" when there is none.
+inline std::string json_path(int argc, char** argv) {
+  std::string path;
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg.substr(0, 7) == "--json=") path = std::string(arg.substr(7));
+  }
+  return path;
+}
+
+// Write `report` to `path` and name the file on stdout, after `lead`; name
+// it on stderr instead if the write fails. An empty path writes nothing.
+// Returns false iff the write failed.
+inline bool write_json(const BenchReport& report, const std::string& path,
+                       const char* lead = "") {
+  if (path.empty()) return true;
+  if (!report.write_file(path)) {
+    std::fprintf(stderr, "failed to write %s\n", path.c_str());
+    return false;
+  }
+  std::printf("%sbench json written to %s\n", lead, path.c_str());
+  return true;
+}
 
 }  // namespace ordma::bench

@@ -14,7 +14,6 @@
 #include <chrono>
 #include <cstdio>
 #include <string>
-#include <string_view>
 
 #include "bench_json.h"
 #include "bench_util.h"
@@ -169,11 +168,7 @@ int main(int argc, char** argv) {
 
   using namespace ordma;
 
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg.substr(0, 7) == "--json=") json_path = std::string(arg.substr(7));
-  }
+  const std::string json = bench::json_path(argc, argv);
 
   const unsigned levels[] = {1, 2, 4, 8};
   bench::Table t("Parallel sweep scaling: 32 simulations (fig3 grid, scaled)"
@@ -219,13 +214,6 @@ int main(int argc, char** argv) {
       "\nevery worker count produced the identical grid hash: parallel"
       " execution is bit-identical to serial\n");
 
-  if (!json_path.empty()) {
-    if (report.write_file(json_path)) {
-      std::printf("bench json written to %s\n", json_path.c_str());
-    } else {
-      std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
-      return 1;
-    }
-  }
+  if (!bench::write_json(report, json)) return 1;
   return 0;
 }

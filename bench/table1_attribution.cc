@@ -249,12 +249,11 @@ int main(int argc, char** argv) {
   obs::ObsSession session(argc, argv);
   obs::install(static_cast<obs::TraceRecorder*>(nullptr));  // runs install recorders themselves
 
-  std::string json_path, explain_path;
+  const std::string json = bench::json_path(argc, argv);
+  std::string explain_path;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    if (arg.substr(0, 7) == "--json=") {
-      json_path = std::string(arg.substr(7));
-    } else if (arg.substr(0, 10) == "--explain=") {
+    if (arg.substr(0, 10) == "--explain=") {
       explain_path = std::string(arg.substr(10));
     }
   }
@@ -270,14 +269,7 @@ int main(int argc, char** argv) {
       "\nbuckets are a full partition of each op's latency; \"other\" is\n"
       "queueing/sync time no instrumented stage was active for.\n");
 
-  if (!json_path.empty()) {
-    if (report.write_file(json_path)) {
-      std::printf("bench json written to %s\n", json_path.c_str());
-    } else {
-      std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
-      return 1;
-    }
-  }
+  if (!bench::write_json(report, json)) return 1;
   if (!explain_path.empty()) {
     std::ofstream f(explain_path);
     if (!f) {

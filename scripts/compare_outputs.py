@@ -8,6 +8,8 @@ write, plus every run's stdout, byte for byte:
   * --metrics, --timeseries (500 us windows) and --health documents from
     fig3_client_throughput, fig7_server_throughput, ablation_policy,
     quickstart, fault_recovery and sharing_writers;
+  * each surface of quickstart on its own: --health alone (its own 1 ms
+    windows), a CSV --timeseries (50 us windows) and --metrics alone;
   * tail_explain's --trace, --flight and --explain documents;
   * the --json documents of table1_attribution, ablation_read_write and
     ablation_policy.
@@ -57,6 +59,12 @@ def runs():
         yield n, binary, [f"--metrics={n}.metrics.json",
                           f"--timeseries={n}.timeseries.json:500us",
                           f"--health={n}.health.json"]
+    yield "quickstart.health_only", "examples/quickstart", [
+        "--health=quickstart.health_only.json"]
+    yield "quickstart.csv", "examples/quickstart", [
+        "--timeseries=quickstart.timeseries.csv:50us"]
+    yield "quickstart.metrics_only", "examples/quickstart", [
+        "--metrics=quickstart.metrics_only.json"]
     yield "tail_explain", "examples/tail_explain", [
         "--trace=tail_explain.trace.json",
         "--flight=tail_explain.flight.txt",

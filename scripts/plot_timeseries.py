@@ -5,7 +5,9 @@ sparklines and the run-phase annotation.
 For each run document: a header with the window grid, one sparkline row per
 selected series (delta/sample series plot their values; histograms plot the
 per-window p99), and a phase strip aligned under the key series marking
-warmup (.), steady (=), saturation (^) and degraded (!) windows.
+warmup (.), steady (=), saturation (^), low (_) and degraded (!) windows;
+degraded means an SLO trip overlaps the stretch, low only that the key
+series fell well below its steady mean.
 
 Usage:
   python3 scripts/plot_timeseries.py ts.json                # all runs, key
@@ -21,7 +23,7 @@ import json
 import sys
 
 TICKS = " ▁▂▃▄▅▆▇█"
-PHASE_MARK = {"warmup": ".", "steady": "=", "saturation": "^",
+PHASE_MARK = {"warmup": ".", "steady": "=", "saturation": "^", "low": "_",
               "degraded": "!"}
 WIDTH = 96  # sparkline columns; longer series are max-pooled into bins
 

@@ -34,7 +34,7 @@ import json
 import math
 import sys
 
-PHASES = {"warmup", "steady", "saturation", "degraded"}
+PHASES = {"warmup", "steady", "saturation", "low", "degraded"}
 KINDS = {"delta", "sample", "hist"}
 
 

@@ -20,11 +20,8 @@
 namespace ordma::obs {
 class TraceRecorder;
 class MetricsRegistry;
+struct SinkSet;
 }  // namespace ordma::obs
-
-namespace ordma::obs::ts {
-class TimeseriesSink;
-}  // namespace ordma::obs::ts
 
 namespace ordma {
 
@@ -49,12 +46,14 @@ struct alignas(64) TlsCtx {
   // --- metrics (obs/metrics.h) — snapshot-time only --------------------
   obs::MetricsRegistry* registry = nullptr;
 
-  // --- time-series telemetry (obs/timeseries.h) — window-boundary only --
-  obs::ts::TimeseriesSink* ts_sink = nullptr;
+  // --- per-run document sinks (obs/sink.h) — run start and end only ----
+  obs::SinkSet* sinks = nullptr;
 
   // --- invariant checking (common/assert.h) — failure path only --------
   void (*check_failed_hook)() noexcept = nullptr;
 };
+
+static_assert(sizeof(TlsCtx) == 64, "TlsCtx must stay one cache line");
 
 inline thread_local TlsCtx g_tls_ctx;
 

@@ -19,6 +19,17 @@ bool take_value(std::string_view arg, std::string_view flag,
   return true;
 }
 
+// "<file>[:suffix]" -> <file>. The suffix after the last ':' counts only if
+// `accept` parses it, so a path that holds a ':' still works.
+template <typename Accept>
+std::string split_suffix(const std::string& arg, Accept accept) {
+  const auto colon = arg.rfind(':');
+  if (colon != std::string::npos && accept(arg.substr(colon + 1))) {
+    return arg.substr(0, colon);
+  }
+  return arg;
+}
+
 void print_help(const char* prog) {
   std::printf(
       "usage: %s [shared observability flags]\n"
@@ -43,10 +54,10 @@ void print_help(const char* prog) {
       "                     (CSV if <file> ends in .csv). interval takes\n"
       "                     ns/us/ms/s suffixes; default 1ms of simulated\n"
       "                     time. Example: --timeseries=ts.json:500us\n"
-      "  --health=<file>[:interval]\n"
-      "                     online SLO/burn-rate evaluation per run (op p99\n"
+      "  --health=<file>    online SLO/burn-rate evaluation per run (op p99\n"
       "                     latency, op error rate, ORDMA exception rate)\n"
-      "                     as ordma.health.v1 JSON. interval as above.\n"
+      "                     as ordma.health.v1 JSON, over the --timeseries\n"
+      "                     windows when that flag is on, else 1ms ones.\n"
       "  --log=<level>      off | error | info | trace\n"
       "  --jobs=<n>         sweep worker threads (default: ORDMA_JOBS, else\n"
       "                     all cores; forced to 1 while --trace/\n"
@@ -61,7 +72,6 @@ ObsSession::ObsSession(int& argc, char** argv) {
   std::string jobs_arg;
   std::string ts_arg;
   std::string sample_arg;
-  std::string health_arg;
   int kept = 1;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
@@ -75,7 +85,7 @@ ObsSession::ObsSession(int& argc, char** argv) {
         take_value(arg, "--metrics=", &metrics_path_) ||
         take_value(arg, "--flight=", &flight_path_) ||
         take_value(arg, "--timeseries=", &ts_arg) ||
-        take_value(arg, "--health=", &health_arg) ||
+        take_value(arg, "--health=", &health_path_) ||
         take_value(arg, "--log=", &log_level) ||
         take_value(arg, "--jobs=", &jobs_arg);
     if (!consumed) argv[kept++] = argv[i];
@@ -115,65 +125,31 @@ ObsSession::ObsSession(int& argc, char** argv) {
     install(recorder_.get());
   }
   if (!sample_arg.empty()) {
-    // --sample-traces=<file>[:N] — the suffix after the last ':' is the
-    // reservoir period iff it parses as a non-negative integer.
-    trace_path_ = sample_arg;
+    // --sample-traces=<file>[:N]: N is the reservoir period, a
+    // non-negative integer.
     TraceSampler::Config cfg;
-    const auto colon = sample_arg.rfind(':');
-    if (colon != std::string::npos && colon + 1 < sample_arg.size()) {
+    trace_path_ = split_suffix(sample_arg, [&](const std::string& tail) {
       char* end = nullptr;
-      const std::string tail = sample_arg.substr(colon + 1);
       const long n = std::strtol(tail.c_str(), &end, 10);
-      if (end != tail.c_str() && *end == '\0' && n >= 0) {
-        cfg.reservoir_n = static_cast<std::uint32_t>(n);
-        trace_path_ = sample_arg.substr(0, colon);
-      }
-    }
+      if (end == tail.c_str() || *end != '\0' || n < 0) return false;
+      cfg.reservoir_n = static_cast<std::uint32_t>(n);
+      return true;
+    });
     recorder_ = std::make_unique<TraceRecorder>();
     install(recorder_.get());
     sampler_ = std::make_unique<TraceSampler>(*recorder_, cfg);
   }
-  if (!metrics_path_.empty()) {
-    msink_ = std::make_unique<MetricsSink>();
-    install_metrics_sink(msink_.get());
-  }
+  if (!metrics_path_.empty()) sinks_.metrics.emplace(Sink::Layout::object);
   if (!ts_arg.empty()) {
-    // --timeseries=<file>[:interval] — the suffix after the last ':' is an
-    // interval iff it parses as a duration, so paths containing ':' still
-    // work.
-    ts::TimeseriesConfig cfg;
-    timeseries_path_ = ts_arg;
-    const auto colon = ts_arg.rfind(':');
-    if (colon != std::string::npos) {
-      Duration iv;
-      if (ts::parse_duration(ts_arg.substr(colon + 1), &iv)) {
-        cfg.interval = iv;
-        timeseries_path_ = ts_arg.substr(0, colon);
-      }
-    }
-    const bool csv = timeseries_path_.size() >= 4 &&
-                     timeseries_path_.compare(timeseries_path_.size() - 4, 4,
-                                              ".csv") == 0;
-    ts_sink_ = std::make_unique<ts::TimeseriesSink>(
-        csv ? ts::TimeseriesSink::Format::csv
-            : ts::TimeseriesSink::Format::json,
-        cfg);
-    ts::install_global(ts_sink_.get());
+    // --timeseries=<file>[:interval]
+    timeseries_path_ = split_suffix(ts_arg, [&](const std::string& tail) {
+      return ts::parse_duration(tail, &sinks_.ts_config.interval);
+    });
+    const bool csv = timeseries_path_.ends_with(".csv");
+    sinks_.timeseries.emplace(csv ? Sink::Layout::blocks : Sink::Layout::array);
   }
-  if (!health_arg.empty()) {
-    Duration iv = msec(1);
-    health_path_ = health_arg;
-    const auto colon = health_arg.rfind(':');
-    if (colon != std::string::npos) {
-      Duration parsed;
-      if (ts::parse_duration(health_arg.substr(colon + 1), &parsed)) {
-        iv = parsed;
-        health_path_ = health_arg.substr(0, colon);
-      }
-    }
-    hsink_ = std::make_unique<health::HealthSink>(iv);
-    health::install_health_sink(hsink_.get());
-  }
+  if (!health_path_.empty()) sinks_.health.emplace(Sink::Layout::array);
+  install_global_sinks(&sinks_);
   // Trace surfaces are installed on this (the main) thread and record one
   // timeline; a simulation running on a pool worker would bypass them.
   // Force the sweep serial so every cell is observed — and name the
@@ -231,47 +207,29 @@ void ObsSession::flush() {
                    flight_path_.c_str());
     }
   }
-  if (msink_) {
-    if (msink_->runs() == 0) {
+  const struct {
+    const char* name;
+    const std::string& path;
+    const std::optional<Sink>& sink;
+  } surfaces[] = {{"metrics", metrics_path_, sinks_.metrics},
+                  {"timeseries", timeseries_path_, sinks_.timeseries},
+                  {"health", health_path_, sinks_.health}};
+  for (const auto& s : surfaces) {
+    if (!s.sink) continue;
+    if (s.sink->runs() == 0) {
       std::fprintf(stderr,
-                   "obs: --metrics produced no runs — this binary has no "
-                   "obs::ts::RunScope around its measured region yet\n");
+                   "obs: --%s produced no runs — this binary has no "
+                   "obs::ts::RunScope around its measured region yet\n",
+                   s.name);
     }
-    if (msink_->write_file(metrics_path_)) {
-      std::fprintf(stderr, "obs: metrics written to %s (%zu runs)\n",
-                   metrics_path_.c_str(), msink_->runs());
+    const bool trips = &s.sink == &sinks_.health && sinks_.slo_trips != 0;
+    if (s.sink->write_file(s.path)) {
+      std::fprintf(stderr, "obs: %s written to %s (%zu runs%s)\n", s.name,
+                   s.path.c_str(), s.sink->runs(),
+                   trips ? ", SLO trips recorded" : "");
     } else {
-      std::fprintf(stderr, "obs: failed to write metrics to %s\n",
-                   metrics_path_.c_str());
-    }
-  }
-  if (ts_sink_) {
-    if (ts_sink_->runs() == 0) {
-      std::fprintf(stderr,
-                   "obs: --timeseries produced no runs — this binary has no "
-                   "obs::ts::RunScope around its measured region yet\n");
-    }
-    if (ts_sink_->write_file(timeseries_path_)) {
-      std::fprintf(stderr, "obs: timeseries written to %s (%zu runs)\n",
-                   timeseries_path_.c_str(), ts_sink_->runs());
-    } else {
-      std::fprintf(stderr, "obs: failed to write timeseries to %s\n",
-                   timeseries_path_.c_str());
-    }
-  }
-  if (hsink_) {
-    if (hsink_->runs() == 0) {
-      std::fprintf(stderr,
-                   "obs: --health produced no runs — this binary has no "
-                   "obs::ts::RunScope around its measured region yet\n");
-    }
-    if (hsink_->write_file(health_path_)) {
-      std::fprintf(stderr, "obs: health written to %s (%zu runs%s)\n",
-                   health_path_.c_str(), hsink_->runs(),
-                   hsink_->any_trips() ? ", SLO trips recorded" : "");
-    } else {
-      std::fprintf(stderr, "obs: failed to write health to %s\n",
-                   health_path_.c_str());
+      std::fprintf(stderr, "obs: failed to write %s to %s\n", s.name,
+                   s.path.c_str());
     }
   }
 }

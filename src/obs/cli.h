@@ -20,12 +20,13 @@
 //                      ordma.timeseries.v1 JSON (or CSV if <file> ends in
 //                      .csv). interval takes ns/us/ms/s suffixes, default
 //                      1ms of simulated time.
-//   --health=<file>[:interval]
-//                      online SLO evaluation (obs/health.h): per run, the
+//   --health=<file>    online SLO evaluation (obs/health.h): per run, the
 //                      stock SLOs (op p99 latency, op error rate, ORDMA
 //                      exception rate) are judged over delta windows with
 //                      multi-window burn-rate alerting; one
-//                      ordma.health.v1 document per run.
+//                      ordma.health.v1 document per run. The windows are
+//                      the --timeseries grid when that flag is on, else
+//                      1ms of simulated time.
 //   --log=<level>      off | error | info | trace (simulated-time stamped)
 //   --jobs=<n>         sweep worker threads (default: ORDMA_JOBS, else all
 //                      cores; forced to 1 while --trace/--sample-traces/
@@ -37,16 +38,15 @@
 // Usage: construct one ObsSession at the top of main(). It consumes its own
 // flags (compacting argc/argv so positional parsing downstream is
 // unaffected), ignores everything else, installs the requested recorders
-// and sinks, and writes the output files when it goes out of scope.
+// and the process-global obs::SinkSet (obs/sink.h), and writes the output
+// files when it goes out of scope.
 #pragma once
 
 #include <memory>
 #include <string>
 
-#include "obs/health.h"
-#include "obs/metrics.h"
 #include "obs/sampler.h"
-#include "obs/timeseries.h"
+#include "obs/sink.h"
 #include "obs/trace.h"
 
 namespace ordma::obs {
@@ -58,16 +58,7 @@ class ObsSession {
   ObsSession(const ObsSession&) = delete;
   ObsSession& operator=(const ObsSession&) = delete;
 
-  bool tracing() const { return recorder_ != nullptr; }
-  bool sampling() const { return sampler_ != nullptr; }
-  bool metrics() const { return msink_ != nullptr; }
-  bool timeseries() const { return ts_sink_ != nullptr; }
-  bool health() const { return hsink_ != nullptr; }
   TraceRecorder* recorder() { return recorder_.get(); }
-  TraceSampler* sampler() { return sampler_.get(); }
-  MetricsSink* metrics_sink() { return msink_.get(); }
-  ts::TimeseriesSink* timeseries_sink() { return ts_sink_.get(); }
-  health::HealthSink* health_sink() { return hsink_.get(); }
 
   // Worker count for this binary's sweep (bench/bench_util.h sweep()).
   // Never 0; 1 whenever a trace surface is on, because the recorder is a
@@ -88,9 +79,7 @@ class ObsSession {
   std::string health_path_;
   std::unique_ptr<TraceRecorder> recorder_;
   std::unique_ptr<TraceSampler> sampler_;  // after recorder_: detaches first
-  std::unique_ptr<MetricsSink> msink_;
-  std::unique_ptr<ts::TimeseriesSink> ts_sink_;
-  std::unique_ptr<health::HealthSink> hsink_;
+  SinkSet sinks_;  // --metrics, --timeseries and --health
   unsigned jobs_ = 1;
   bool flushed_ = false;
 };

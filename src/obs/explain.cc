@@ -8,6 +8,7 @@
 #include <ostream>
 #include <string_view>
 
+#include "obs/json.h"
 #include "obs/sweep.h"
 
 namespace ordma::obs {
@@ -93,13 +94,6 @@ Cause classify(const char* name, std::string_view component,
   return on_root_process ? Cause::client_cpu : Cause::server_cpu;
 }
 
-void json_escape(std::ostream& os, const char* s) {
-  for (const char* p = s; *p; ++p) {
-    if (*p == '"' || *p == '\\') os << '\\';
-    os << *p;
-  }
-}
-
 void write_causes(std::ostream& os, const double (&us)[kCauseCount]) {
   os << "{";
   for (std::size_t i = 0; i < kCauseCount; ++i) {
@@ -169,7 +163,7 @@ void write_explain_json(std::ostream& os, const char* label,
   if (!totals.empty()) mean /= static_cast<double>(totals.size());
 
   os << "{\n  \"schema\": \"ordma.explain.v1\",\n  \"label\": \"";
-  json_escape(os, label);
+  json::escaped(os, label);
   os << "\",\n  \"ops\": " << totals.size() << ",\n";
   os << "  \"latency_us\": {\"p50\": " << percentile(totals, 0.50)
      << ", \"p90\": " << percentile(totals, 0.90) << ", \"p99\": "
@@ -203,7 +197,7 @@ void write_explain_json(std::ostream& os, const char* label,
     const CauseBreakdown& bd = top[i];
     os << (i ? ",\n    " : "\n    ");
     os << "{\"op\": " << bd.op << ", \"root\": \"";
-    json_escape(os, bd.root_name);
+    json::escaped(os, bd.root_name);
     os << "\", \"total_us\": " << bd.total_us << ", \"dominant\": \""
        << cause_name(bd.dominant()) << "\", \"causes_us\": ";
     write_causes(os, bd.us);

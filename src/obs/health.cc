@@ -1,12 +1,10 @@
 #include "obs/health.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <ostream>
 
 #include "common/assert.h"
+#include "obs/json.h"
 #include "sim/engine.h"
 
 namespace ordma::obs::health {
@@ -19,30 +17,6 @@ const char* kind_name(SloSpec::Kind k) {
     case SloSpec::Kind::ratio: return "ratio";
   }
   return "?";
-}
-
-void json_escaped(std::ostream& os, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      os << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      os << buf;
-    } else {
-      os << c;
-    }
-  }
-}
-
-void emit_number(std::ostream& os, double v) {
-  if (!std::isfinite(v)) {
-    os << "null";
-    return;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  os << buf;
 }
 
 // Does `path` end in "/<suffix>" (or equal it)? Returns the component
@@ -272,7 +246,7 @@ void HealthMonitor::finish() {
 void HealthMonitor::write_json(std::ostream& os, const std::string& run) {
   finish();
   os << R"({"schema":"ordma.health.v1","run":")";
-  json_escaped(os, run);
+  json::escaped(os, run);
   os << R"(","windows":)" << windows_;
   os << R"(,"healthy":)" << (trips_.empty() ? "true" : "false");
   os << R"(,"slos":[)";
@@ -281,20 +255,20 @@ void HealthMonitor::write_json(std::ostream& os, const std::string& run) {
     const SloSpec& spec = slos_[inst.spec];
     if (i) os << ",";
     os << R"({"name":")";
-    json_escaped(os, spec.name);
+    json::escaped(os, spec.name);
     os << R"(","kind":")" << kind_name(spec.kind) << R"(","component":")";
-    json_escaped(os, inst.component);
+    json::escaped(os, inst.component);
     os << R"(","series":")";
-    json_escaped(os, inst.series);
+    json::escaped(os, inst.series);
     os << R"(","threshold":)";
-    emit_number(os, inst.threshold);
+    json::number(os, inst.threshold, 6);
     os << R"(,"calibrated":)" << (inst.calibrated ? "true" : "false");
     os << R"(,"evaluated":)" << inst.evaluated;
     os << R"(,"bad_windows":)" << inst.bad_total;
     os << R"(,"burn_fast":)";
-    emit_number(os, inst.burn_fast);
+    json::number(os, inst.burn_fast, 6);
     os << R"(,"burn_slow":)";
-    emit_number(os, inst.burn_slow);
+    json::number(os, inst.burn_slow, 6);
     os << "}";
   }
   os << R"(],"trips":[)";
@@ -302,68 +276,15 @@ void HealthMonitor::write_json(std::ostream& os, const std::string& run) {
     const Trip& t = trips_[i];
     if (i) os << ",";
     os << R"({"slo":")";
-    json_escaped(os, t.slo);
+    json::escaped(os, t.slo);
     os << R"(","component":")";
-    json_escaped(os, t.component);
+    json::escaped(os, t.component);
     os << R"(","begin":)" << t.begin << R"(,"end":)" << t.end
        << R"(,"peak_burn":)";
-    emit_number(os, t.peak_burn);
+    json::number(os, t.peak_burn, 6);
     os << "}";
   }
   os << "]}";
-}
-
-// ---------------------------------------------------------------------------
-// HealthSink
-// ---------------------------------------------------------------------------
-
-namespace {
-HealthSink* g_health_sink = nullptr;
-}  // namespace
-
-HealthSink* health_sink() { return g_health_sink; }
-void install_health_sink(HealthSink* s) { g_health_sink = s; }
-
-void HealthSink::add(const std::string& label, std::string doc) {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::string key = label;
-  for (int n = 2; docs_.count(key) != 0; ++n) {
-    key = label + "#" + std::to_string(n);
-  }
-  docs_.emplace(std::move(key), std::move(doc));
-}
-
-std::size_t HealthSink::runs() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return docs_.size();
-}
-
-bool HealthSink::any_trips() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return trips_ != 0;
-}
-
-void HealthSink::note_trips(std::size_t n) {
-  std::lock_guard<std::mutex> lock(mu_);
-  trips_ += n;
-}
-
-void HealthSink::write(std::ostream& os) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  os << "[";
-  bool first = true;
-  for (const auto& [label, doc] : docs_) {
-    os << (first ? "\n" : ",\n") << doc;
-    first = false;
-  }
-  os << (docs_.empty() ? "]" : "\n]") << "\n";
-}
-
-bool HealthSink::write_file(const std::string& path) const {
-  std::ofstream f(path);
-  if (!f) return false;
-  write(f);
-  return f.good();
 }
 
 }  // namespace ordma::obs::health

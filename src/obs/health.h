@@ -11,7 +11,8 @@
 // the threshold, and clears when the fast window recovers. Trips and
 // clears land in a flight-recorder ring ("health") and in the
 // `ordma.health.v1` JSON document; obs/timeseries.h folds the trip ranges
-// into its run-phase report so a "degraded" phase names the violated SLO.
+// into its run-phase report, where the stretches a trip overlaps are
+// labelled "degraded" and name the violated SLO.
 //
 // SLO specs are declarative and *suffix-matched*: "io/latency_us" matches
 // every component exporting that series (client0, client1, ...), so one
@@ -28,8 +29,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -146,40 +145,5 @@ class HealthMonitor {
   sim::Engine* eng_ = nullptr;  // set iff armed standalone
   flight::Ring flight_{"health"};
 };
-
-// ---------------------------------------------------------------------------
-// Session sink
-// ---------------------------------------------------------------------------
-// Process-global collector for per-run health documents, written as a JSON
-// array at session end (obs/cli.h --health). add() is thread-safe and the
-// output is label-sorted, so parallel sweep workers merge deterministically.
-class HealthSink {
- public:
-  explicit HealthSink(Duration interval = msec(1),
-                      std::vector<SloSpec> slos = default_slos())
-      : interval_(interval), slos_(std::move(slos)) {}
-
-  Duration interval() const { return interval_; }
-  const std::vector<SloSpec>& slos() const { return slos_; }
-
-  void add(const std::string& label, std::string doc);
-  std::size_t runs() const;
-  // True iff any collected run recorded at least one trip.
-  bool any_trips() const;
-  void note_trips(std::size_t n);
-
-  void write(std::ostream& os) const;
-  bool write_file(const std::string& path) const;
-
- private:
-  Duration interval_;
-  std::vector<SloSpec> slos_;
-  mutable std::mutex mu_;
-  std::map<std::string, std::string> docs_;
-  std::size_t trips_ = 0;
-};
-
-HealthSink* health_sink();
-void install_health_sink(HealthSink* s);
 
 }  // namespace ordma::obs::health

@@ -1,9 +1,8 @@
 #include "obs/metrics.h"
 
-#include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <ostream>
+
+#include "obs/json.h"
 
 namespace ordma::obs {
 
@@ -79,34 +78,6 @@ void MetricsRegistry::delta_snapshot(DeltaCursor& cursor,
   }
 }
 
-namespace {
-
-void json_escaped(std::ostream& os, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      os << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      os << buf;
-    } else {
-      os << c;
-    }
-  }
-}
-
-void emit_number(std::ostream& os, double v) {
-  if (!std::isfinite(v)) {
-    os << "null";
-    return;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  os << buf;
-}
-
-}  // namespace
-
 void MetricsRegistry::write_json(std::ostream& os) const {
   // Nest '/'-separated paths into an object tree. std::map keeps both the
   // tree and the output deterministic.
@@ -133,14 +104,14 @@ void MetricsRegistry::write_json(std::ostream& os) const {
   auto emit_entry = [&](const Entry& e) {
     const LatencyHistogram* h = e.hist();
     if (e.g) {
-      emit_number(os, e.g());
+      json::number(os, e.g(), 6);
     } else if (e.c) {
       os << e.c->get();
     } else if (h) {
       os << R"({"count":)" << h->count() << R"(,"mean_us":)";
-      emit_number(os, h->mean_us());
+      json::number(os, h->mean_us(), 6);
       os << R"(,"max_us":)";
-      emit_number(os, h->max_us());
+      json::number(os, h->max_us(), 6);
       os << R"(,"buckets":[)";
       bool first = true;
       for (std::size_t b = 0; b < LatencyHistogram::bucket_count(); ++b) {
@@ -148,7 +119,7 @@ void MetricsRegistry::write_json(std::ostream& os) const {
         if (!first) os << ",";
         first = false;
         os << R"({"le_us":)";
-        emit_number(os, LatencyHistogram::upper_edge_us(b));
+        json::number(os, LatencyHistogram::upper_edge_us(b), 6);
         os << R"(,"n":)" << h->bucket_value(b);
         // Exemplar: the most recent *retained* trace op that landed in
         // this bucket — the p99-bucket-to-trace hop (obs/sampler.h).
@@ -174,7 +145,7 @@ void MetricsRegistry::write_json(std::ostream& os) const {
       if (!first) os << ",";
       first = false;
       os << "\"";
-      json_escaped(os, name);
+      json::escaped(os, name);
       os << "\":";
       self(self, kid);
     }
@@ -182,63 +153,6 @@ void MetricsRegistry::write_json(std::ostream& os) const {
   };
   emit_node(emit_node, root);
   os << "\n";
-}
-
-bool MetricsRegistry::write_json_file(const std::string& path) const {
-  std::ofstream f(path);
-  if (!f) return false;
-  write_json(f);
-  return f.good();
-}
-
-// ---------------------------------------------------------------------------
-// MetricsSink
-// ---------------------------------------------------------------------------
-
-namespace {
-MetricsSink* g_metrics_sink = nullptr;
-}  // namespace
-
-MetricsSink* metrics_sink() { return g_metrics_sink; }
-void install_metrics_sink(MetricsSink* s) { g_metrics_sink = s; }
-
-void MetricsSink::add(const std::string& label, std::string doc) {
-  // Trim the trailing newline write_json appends: docs embed in an object.
-  while (!doc.empty() && (doc.back() == '\n' || doc.back() == ' ')) {
-    doc.pop_back();
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  std::string key = label;
-  for (int n = 2; docs_.count(key) != 0; ++n) {
-    key = label + "#" + std::to_string(n);
-  }
-  docs_.emplace(std::move(key), std::move(doc));
-}
-
-std::size_t MetricsSink::runs() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return docs_.size();
-}
-
-void MetricsSink::write(std::ostream& os) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  os << R"({"schema":"ordma.metrics.v1","runs":{)";
-  bool first = true;
-  for (const auto& [label, doc] : docs_) {
-    if (!first) os << ",";
-    first = false;
-    os << "\n\"";
-    json_escaped(os, label);
-    os << "\":" << doc;
-  }
-  os << (docs_.empty() ? "}}" : "\n}}") << "\n";
-}
-
-bool MetricsSink::write_file(const std::string& path) const {
-  std::ofstream f(path);
-  if (!f) return false;
-  write(f);
-  return f.good();
 }
 
 }  // namespace ordma::obs

@@ -17,7 +17,6 @@
 #include <iosfwd>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -95,7 +94,6 @@ class MetricsRegistry {
   // Snapshot as nested JSON. Counters render as integers, gauges as
   // numbers, histograms as {count, mean_us, max_us, buckets:[{le_us,n}]}.
   void write_json(std::ostream& os) const;
-  bool write_json_file(const std::string& path) const;
 
  private:
   struct Entry {
@@ -148,37 +146,5 @@ inline MetricsRegistry* registry() { return tls().registry; }
 // keeps ownership; a registry uninstalls itself on destruction if still
 // installed on the destroying thread.
 void install(MetricsRegistry* r);
-
-// ---------------------------------------------------------------------------
-// Session-level metrics sink
-// ---------------------------------------------------------------------------
-// Collects one serialized metrics document per finished run (sweep cell)
-// under a run label, and writes them all as one
-//   {"schema":"ordma.metrics.v1","runs":{<label>:<snapshot>,...}}
-// object at session end. Unlike the per-thread registry install, the sink
-// is *process-global* and add() is thread-safe, so parallel sweep workers
-// each snapshot their own run's registry and merge here — `--metrics` no
-// longer forces a serial sweep. Output order is label-sorted, hence
-// deterministic at any worker count.
-class MetricsSink {
- public:
-  // Thread-safe. `doc` is one JSON value (a registry write_json snapshot);
-  // a duplicate label gets a "#<n>" suffix so no run is silently lost.
-  void add(const std::string& label, std::string doc);
-  std::size_t runs() const;
-
-  void write(std::ostream& os) const;
-  bool write_file(const std::string& path) const;
-
- private:
-  mutable std::mutex mu_;
-  std::map<std::string, std::string> docs_;
-};
-
-// Process-global sink installed by obs/cli.h under --metrics (nullptr when
-// absent). Reads are racy-free: the pointer is set once before workers
-// start and cleared after they join.
-MetricsSink* metrics_sink();
-void install_metrics_sink(MetricsSink* s);
 
 }  // namespace ordma::obs

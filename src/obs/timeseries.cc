@@ -1,16 +1,16 @@
 #include "obs/timeseries.h"
 
-#include <cctype>
+#include <cerrno>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <iterator>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
 #include "common/assert.h"
 #include "obs/health.h"
+#include "obs/json.h"
+#include "obs/sink.h"
 #include "sim/engine.h"
 
 namespace ordma::obs::ts {
@@ -24,22 +24,40 @@ const char* phase_name(Phase p) {
     case Phase::warmup: return "warmup";
     case Phase::steady: return "steady";
     case Phase::saturation: return "saturation";
+    case Phase::low: return "low";
     case Phase::degraded: return "degraded";
   }
   return "?";
 }
 
-std::vector<PhaseSegment> summarize_phases(const std::vector<double>& v,
-                                           const PhaseParams& p) {
+namespace {
+
+// Segmentation: a new segment opens at the first of kConfirm consecutive
+// windows whose value deviates from the running segment mean by more than
+// kShift, relative to max(|mean|, kFloor) so an all-zero prefix does not
+// divide by zero.
+constexpr double kShift = 0.25;
+constexpr std::size_t kConfirm = 3;
+constexpr double kFloor = 1e-9;
+// Labeling: the longest segment is steady (earliest wins ties) and earlier
+// segments are warmup. A later segment at >= kSaturationFrac of the peak
+// segment mean and above the steady mean is saturation; one below
+// kLowFrac of the steady mean is low; any other stays steady.
+// annotate_slo later relabels the segments an SLO trip overlaps degraded.
+constexpr double kSaturationFrac = 0.9;
+constexpr double kLowFrac = 0.75;
+
+}  // namespace
+
+std::vector<PhaseSegment> summarize_phases(const std::vector<double>& v) {
   std::vector<PhaseSegment> segs;
   const std::size_t n = v.size();
   if (n == 0) return segs;
-  const std::size_t confirm = p.confirm == 0 ? 1 : p.confirm;
 
   // Greedy mean-shift segmentation: grow the current segment's mean over
-  // its conforming members; a run of `confirm` consecutive deviating
+  // its conforming members; a run of kConfirm consecutive deviating
   // windows closes the segment at the run's first index. A deviating run
-  // shorter than `confirm` is absorbed into the segment's *span* but kept
+  // shorter than kConfirm is absorbed into the segment's *span* but kept
   // out of its mean — a single-window blip neither splits a phase nor
   // drags the mean enough to make the phase's own windows look deviant.
   std::size_t start = 0;
@@ -53,12 +71,11 @@ std::vector<PhaseSegment> summarize_phases(const std::vector<double>& v,
   };
   for (std::size_t i = 0; i < n; ++i) {
     const double mean = count ? sum / static_cast<double>(count) : v[i];
-    const double scale = std::max(std::abs(mean), p.floor);
-    const bool deviates =
-        count > 0 && std::abs(v[i] - mean) > p.shift * scale;
+    const double scale = std::max(std::abs(mean), kFloor);
+    const bool deviates = count > 0 && std::abs(v[i] - mean) > kShift * scale;
     if (deviates) {
       if (run_len == 0) run_start = i;
-      if (++run_len >= confirm) {
+      if (++run_len >= kConfirm) {
         close(run_start);
         start = run_start;
         sum = 0;
@@ -94,53 +111,22 @@ std::vector<PhaseSegment> summarize_phases(const std::vector<double>& v,
     if (i == steady) continue;
     if (i < steady) {
       segs[i].label = Phase::warmup;
-    } else if (segs[i].mean >= p.saturation_frac * peak &&
+    } else if (segs[i].mean >= kSaturationFrac * peak &&
                segs[i].mean > steady_mean) {
       segs[i].label = Phase::saturation;
-    } else if (segs[i].mean < p.degraded_frac * steady_mean) {
-      segs[i].label = Phase::degraded;
+    } else if (segs[i].mean < kLowFrac * steady_mean) {
+      segs[i].label = Phase::low;
     }  // else: stays steady
   }
   return segs;
 }
 
-// ---------------------------------------------------------------------------
-// Small emit helpers (same conventions as obs/metrics.cc)
-// ---------------------------------------------------------------------------
-
-namespace {
-
-void json_escaped(std::ostream& os, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      os << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      os << buf;
-    } else {
-      os << c;
-    }
-  }
-}
-
-void emit_number(std::ostream& os, double v) {
-  if (!std::isfinite(v)) {
-    os << "null";
-    return;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  os << buf;
-}
-
-}  // namespace
-
 bool parse_duration(const std::string& s, Duration* out) {
   if (s.empty()) return false;
   char* end = nullptr;
+  errno = 0;
   const long long n = std::strtoll(s.c_str(), &end, 10);
-  if (end == s.c_str() || n <= 0) return false;
+  if (end == s.c_str() || n <= 0 || errno == ERANGE) return false;
   const std::string unit(end);
   std::int64_t mult;
   if (unit.empty() || unit == "ns") {
@@ -154,6 +140,7 @@ bool parse_duration(const std::string& s, Duration* out) {
   } else {
     return false;
   }
+  if (n > std::numeric_limits<std::int64_t>::max() / mult) return false;
   *out = Duration{n * mult};
   return true;
 }
@@ -266,7 +253,7 @@ void TimeseriesSampler::finish() {
     for (std::size_t w = fk; w < windows_; ++w) {
       vals.push_back(col_value(*key, key->v, w));
     }
-    phases_ = summarize_phases(vals, cfg_.phase_params);
+    phases_ = summarize_phases(vals);
     for (PhaseSegment& s : phases_) {
       s.begin += fk;
       s.end += fk;
@@ -310,7 +297,7 @@ void TimeseriesSampler::write_json(std::ostream& os, const std::string& run) {
   const std::size_t fk = first_kept();
   const std::int64_t iv = cfg_.interval.ns;
   os << R"({"schema":"ordma.timeseries.v1","run":")";
-  json_escaped(os, run);
+  json::escaped(os, run);
   os << R"(","interval_ns":)" << iv;
   os << R"(,"start_ns":)" << base_ns_ + static_cast<std::int64_t>(fk) * iv;
   os << R"(,"end_ns":)" << end_ns_;
@@ -327,7 +314,7 @@ void TimeseriesSampler::write_json(std::ostream& os, const std::string& run) {
     os << "[";
     for (std::size_t w = fk; w < windows_; ++w) {
       if (w != fk) os << ",";
-      emit_number(os, col_value(c, ring, w));
+      json::number(os, col_value(c, ring, w), 9);
     }
     os << "]";
   };
@@ -335,7 +322,7 @@ void TimeseriesSampler::write_json(std::ostream& os, const std::string& run) {
     if (!first_col) os << ",";
     first_col = false;
     os << "\"";
-    json_escaped(os, name);
+    json::escaped(os, name);
     os << "\":{";
     switch (c.kind) {
       case MetricsRegistry::Kind::counter:
@@ -361,7 +348,7 @@ void TimeseriesSampler::write_json(std::ostream& os, const std::string& run) {
     os << "}";
   }
   os << R"(},"phases":{"series":")";
-  json_escaped(os, phase_key_);
+  json::escaped(os, phase_key_);
   os << R"(","segments":[)";
   for (std::size_t i = 0; i < phases_.size(); ++i) {
     const PhaseSegment& s = phases_[i];
@@ -374,10 +361,10 @@ void TimeseriesSampler::write_json(std::ostream& os, const std::string& run) {
         base_ns_ + static_cast<std::int64_t>(s.end) * iv, end_ns_);
     os << R"(,"begin_ns":)" << b_ns << R"(,"end_ns":)" << e_ns
        << R"(,"mean":)";
-    emit_number(os, s.mean);
+    json::number(os, s.mean, 9);
     if (!s.slo.empty()) {
       os << R"(,"slo":")";
-      json_escaped(os, s.slo);
+      json::escaped(os, s.slo);
       os << "\"";
     }
     os << "}";
@@ -409,10 +396,9 @@ void TimeseriesSampler::write_csv(std::ostream& os, const std::string& run) {
     }
   }
   os << "\n";
-  char buf[64];
   auto cell = [&](double v) {
-    std::snprintf(buf, sizeof buf, "%.9g", v);
-    os << "," << buf;
+    os << ",";
+    json::number(os, v, 9);
   };
   for (std::size_t w = fk; w < windows_; ++w) {
     os << base_ns_ + static_cast<std::int64_t>(w) * iv;
@@ -429,83 +415,20 @@ void TimeseriesSampler::write_csv(std::ostream& os, const std::string& run) {
 }
 
 // ---------------------------------------------------------------------------
-// Sink + RunScope
+// RunScope
 // ---------------------------------------------------------------------------
 
-namespace {
-TimeseriesSink* g_ts_sink = nullptr;
-}  // namespace
-
-TimeseriesSink* sink() {
-  TimeseriesSink* s = tls().ts_sink;
-  return s != nullptr ? s : g_ts_sink;
-}
-
-void install(TimeseriesSink* s) { tls().ts_sink = s; }
-void install_global(TimeseriesSink* s) { g_ts_sink = s; }
-
-TimeseriesSink::~TimeseriesSink() {
-  if (tls().ts_sink == this) install(nullptr);
-  if (g_ts_sink == this) g_ts_sink = nullptr;
-}
-
-void TimeseriesSink::add(const std::string& label, std::string doc) {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::string key = label;
-  for (int n = 2; docs_.count(key) != 0; ++n) {
-    key = label + "#" + std::to_string(n);
-  }
-  docs_.emplace(std::move(key), std::move(doc));
-}
-
-std::size_t TimeseriesSink::runs() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return docs_.size();
-}
-
-std::string TimeseriesSink::doc(std::size_t i) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = docs_.begin();
-  std::advance(it, i);
-  return it->second;
-}
-
-void TimeseriesSink::write(std::ostream& os) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (format_ == Format::csv) {
-    for (const auto& [label, d] : docs_) os << d;
-    return;
-  }
-  os << "[";
-  bool first = true;
-  for (const auto& [label, d] : docs_) {
-    os << (first ? "\n" : ",\n") << d;
-    first = false;
-  }
-  os << (docs_.empty() ? "]" : "\n]") << "\n";
-}
-
-bool TimeseriesSink::write_file(const std::string& path) const {
-  std::ofstream f(path);
-  if (!f) return false;
-  write(f);
-  return f.good();
-}
-
 RunScope::RunScope(sim::Engine& eng, std::string label)
-    : label_(std::move(label)),
-      sink_(sink()),
-      msink_(metrics_sink()),
-      hsink_(health::health_sink()) {
-  if (sink_ == nullptr && msink_ == nullptr && hsink_ == nullptr) return;
+    : label_(std::move(label)) {
+  SinkSet* s = sinks();
+  if (s == nullptr || (!s->metrics && !s->timeseries && !s->health)) return;
+  sinks_ = s;
   reg_ = std::make_unique<MetricsRegistry>();
-  if (sink_ != nullptr) {
-    sampler_ =
-        std::make_unique<TimeseriesSampler>(eng, *reg_, sink_->config());
+  if (s->timeseries) {
+    sampler_ = std::make_unique<TimeseriesSampler>(eng, *reg_, s->ts_config);
   }
-  if (hsink_ != nullptr) {
-    monitor_ =
-        std::make_unique<health::HealthMonitor>(*reg_, hsink_->slos());
+  if (s->health) {
+    monitor_ = std::make_unique<health::HealthMonitor>(*reg_, s->slos);
     if (sampler_) {
       // One engine hook: the monitor rides the sampler's window grid.
       sampler_->set_window_observer(
@@ -513,16 +436,15 @@ RunScope::RunScope(sim::Engine& eng, std::string label)
             static_cast<health::HealthMonitor*>(m)->sample_window(t_ns);
           });
     } else {
-      monitor_->arm(eng, hsink_->interval());
+      monitor_->arm(eng, msec(1));
     }
   }
 }
 
 RunScope::~RunScope() {
   if (!reg_) return;
-  // The trace sampler (if any) decided keeps at op completion already;
-  // nothing here depends on trace state, but the monitor must close its
-  // trips before the phase report is annotated and serialized.
+  // The monitor must close its trips before the phase report is annotated
+  // and serialized.
   if (sampler_) sampler_->finish();
   if (monitor_) {
     monitor_->finish();
@@ -534,24 +456,24 @@ RunScope::~RunScope() {
       }
       sampler_->annotate_slo(marks);
     }
-    std::ostringstream hos;
-    monitor_->write_json(hos, label_);
-    hsink_->add(label_, std::move(hos).str());
-    hsink_->note_trips(monitor_->trips().size());
+    std::ostringstream os;
+    monitor_->write_json(os, label_);
+    sinks_->health->add(label_, std::move(os).str());
+    sinks_->slo_trips += monitor_->trips().size();
   }
   if (sampler_) {
     std::ostringstream os;
-    if (sink_->format() == TimeseriesSink::Format::csv) {
+    if (sinks_->timeseries->layout() == Sink::Layout::blocks) {
       sampler_->write_csv(os, label_);
     } else {
       sampler_->write_json(os, label_);
     }
-    sink_->add(label_, std::move(os).str());
+    sinks_->timeseries->add(label_, std::move(os).str());
   }
-  if (msink_ != nullptr) {
+  if (sinks_->metrics) {
     std::ostringstream os;
     reg_->write_json(os);
-    msink_->add(label_, std::move(os).str());
+    sinks_->metrics->add(label_, std::move(os).str());
   }
   monitor_.reset();
   sampler_.reset();  // gauge closures die with reg_ before the components

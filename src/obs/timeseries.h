@@ -22,15 +22,16 @@
 // document per run (sweep cell), each carrying the window grid, every
 // series, and the run-phase report produced by summarize_phases() — a
 // deterministic windowed mean-shift segmentation labeling each stretch of
-// the key series warmup / steady / saturation / degraded. A `.csv` output
-// path selects a flat one-block-per-run CSV rendering instead.
+// the key series warmup / steady / saturation / low, with degraded kept for
+// stretches an SLO trip overlaps (obs/health.h). A `.csv` output path
+// selects a flat one-block-per-run CSV rendering instead.
 // scripts/validate_timeseries.py checks the invariants (monotone
 // timestamps, constant interval, rate non-negativity); ROADMAP item 4's
 // adaptive protocol policy is the intended in-process consumer.
 //
-// Wiring: obs/cli.h parses --timeseries=<file>[:interval], installs a
-// thread-local TimeseriesSink, and writes the file at session end. A
-// binary opts a run in by constructing a RunScope around the measured
+// Wiring: obs/cli.h parses --timeseries=<file>[:interval], installs the
+// session's obs::SinkSet (obs/sink.h), and writes the file at session end.
+// A binary opts a run in by constructing a RunScope around the measured
 // region and exporting its components into the scope's registry; with no
 // sink installed the scope is inert and costs two pointer reads.
 #pragma once
@@ -39,11 +40,9 @@
 #include <iosfwd>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
-#include "common/tls_ctx.h"
 #include "common/units.h"
 #include "obs/metrics.h"
 
@@ -53,11 +52,10 @@ class Engine;
 
 namespace ordma::obs::health {
 class HealthMonitor;
-class HealthSink;
 }  // namespace ordma::obs::health
 
 namespace ordma::obs {
-class MetricsSink;
+struct SinkSet;
 }  // namespace ordma::obs
 
 namespace ordma::obs::ts {
@@ -66,7 +64,10 @@ namespace ordma::obs::ts {
 // Run-phase summarizer
 // ---------------------------------------------------------------------------
 
-enum class Phase { warmup, steady, saturation, degraded };
+// `low` is a stretch well below the steady mean with no SLO trip: the key
+// series fell, which is not by itself a failure (ODAFS's small-I/O pass
+// runs at zero server CPU). Only an SLO trip makes a stretch `degraded`.
+enum class Phase { warmup, steady, saturation, low, degraded };
 const char* phase_name(Phase p);
 
 struct PhaseSegment {
@@ -79,27 +80,10 @@ struct PhaseSegment {
   std::string slo;
 };
 
-struct PhaseParams {
-  // Segmentation: a new segment opens at the first of `confirm`
-  // consecutive windows whose value deviates from the running segment mean
-  // by more than `shift` (relative to max(|mean|, floor), so an all-zero
-  // prefix doesn't divide by zero).
-  double shift = 0.25;
-  std::size_t confirm = 3;
-  double floor = 1e-9;
-  // Labeling: the longest segment is "steady" (earliest wins ties).
-  // Earlier segments are "warmup". Later segments at >= saturation_frac of
-  // the peak segment mean and above the steady mean are "saturation";
-  // below degraded_frac of the steady mean, "degraded"; otherwise they
-  // stay "steady".
-  double saturation_frac = 0.9;
-  double degraded_frac = 0.75;
-};
-
-// Deterministic windowed mean-shift segmentation + labeling of one series.
-// Pure function of its inputs; unit-tested on synthetic series.
-std::vector<PhaseSegment> summarize_phases(const std::vector<double>& v,
-                                           const PhaseParams& p = {});
+// Deterministic windowed mean-shift segmentation + labeling of one series
+// (the constants and the labeling rule are in timeseries.cc). Pure function
+// of its input; unit-tested on synthetic series.
+std::vector<PhaseSegment> summarize_phases(const std::vector<double>& v);
 
 // ---------------------------------------------------------------------------
 // Sampler
@@ -114,10 +98,10 @@ struct TimeseriesConfig {
   // Key series for the phase report; "" picks "server/cpu/busy_us" when
   // present, else the first delta-kind series in path order.
   std::string phase_series;
-  PhaseParams phase_params{};
 };
 
-// "500us", "2ms", "1s", "250000ns" or a bare nanosecond count.
+// "500us", "2ms", "1s", "250000ns" or a bare nanosecond count; false for
+// anything else, a count <= 0, or one past int64 nanoseconds.
 bool parse_duration(const std::string& s, Duration* out);
 
 // Drives one run's windows: arms the engine's sampling hook on
@@ -211,65 +195,20 @@ class TimeseriesSampler {
 };
 
 // ---------------------------------------------------------------------------
-// Session sink + per-run scope
+// Per-run scope
 // ---------------------------------------------------------------------------
 
-// Session-level collector: holds the output format/config and accumulates
-// one serialized document per finished run, keyed and emitted in label
-// order. add() is thread-safe, so a single process-global sink can merge
-// parallel sweep workers deterministically; the thread-local install
-// (common/tls_ctx.h) still wins when present, giving tests an isolated
-// domain per thread.
-class TimeseriesSink {
- public:
-  enum class Format { json, csv };
-
-  explicit TimeseriesSink(Format f = Format::json, TimeseriesConfig cfg = {})
-      : format_(f), cfg_(cfg) {}
-  ~TimeseriesSink();
-
-  Format format() const { return format_; }
-  const TimeseriesConfig& config() const { return cfg_; }
-
-  // Thread-safe; duplicate labels get a "#n" suffix.
-  void add(const std::string& label, std::string doc);
-  std::size_t runs() const;
-  // i-th document in label order (copy; test convenience).
-  std::string doc(std::size_t i) const;
-
-  // JSON: array of run documents. CSV: run blocks concatenated.
-  // Both in label order.
-  void write(std::ostream& os) const;
-  bool write_file(const std::string& path) const;
-
- private:
-  Format format_;
-  TimeseriesConfig cfg_;
-  mutable std::mutex mu_;
-  std::map<std::string, std::string> docs_;
-};
-
-// Thread-local sink first (test isolation), then the process global.
-TimeseriesSink* sink();
-// Install `s` as the calling thread's sink (nullptr disables). Caller
-// keeps ownership; a sink uninstalls itself on destruction if still
-// installed on the destroying thread.
-void install(TimeseriesSink* s);
-// Install `s` process-wide (obs/cli.h does this so every parallel worker
-// feeds one deterministic merged document).
-void install_global(TimeseriesSink* s);
-
-// Per-run RAII wiring for every snapshot-driven obs surface: when a
-// timeseries, metrics, or health sink is present, owns a fresh
-// MetricsRegistry for the run's gauges (so gauge closures never outlive
-// the components they read) plus — per sink — a TimeseriesSampler on the
-// run's engine and/or a HealthMonitor (chained off the sampler's window
-// observer when both are on, since the engine allows one sampling hook).
-// On destruction: the trace sampler (if any) finalizes first so exemplars
-// resolve, then the monitor closes its trips, trip ranges annotate the
-// phase report, and each surface's serialized document lands in its sink
-// under `label`. With no sink installed every member stays null and the
-// scope is free. Destroy the scope *before* the cluster whose components
+// Per-run RAII wiring for every snapshot-driven obs surface: when the
+// installed obs::SinkSet (obs/sink.h) has a metrics, timeseries or health
+// sink, owns a fresh MetricsRegistry for the run's gauges (so gauge
+// closures never outlive the components they read) plus a
+// TimeseriesSampler on the run's engine (timeseries sink) and/or a
+// HealthMonitor (health sink). The engine allows one sampling hook, so
+// with both on the monitor rides the sampler's window grid; alone it arms
+// its own 1 ms grid. On destruction the monitor closes its trips, trip
+// ranges annotate the phase report, and each surface's serialized document
+// lands in its sink under `label`. With no sink installed the scope is
+// inert and free. Destroy the scope *before* the cluster whose components
 // were exported into registry().
 class RunScope {
  public:
@@ -280,18 +219,10 @@ class RunScope {
 
   bool active() const { return reg_ != nullptr; }
   MetricsRegistry& registry() { return *reg_; }  // valid iff active()
-  // Valid iff a timeseries sink was installed at construction.
-  TimeseriesSampler& sampler() { return *sampler_; }
-  bool has_sampler() const { return sampler_ != nullptr; }
-  // Valid iff a health sink was installed at construction.
-  health::HealthMonitor& monitor() { return *monitor_; }
-  bool has_monitor() const { return monitor_ != nullptr; }
 
  private:
   std::string label_;
-  TimeseriesSink* sink_ = nullptr;
-  MetricsSink* msink_ = nullptr;
-  health::HealthSink* hsink_ = nullptr;
+  SinkSet* sinks_ = nullptr;  // set iff active()
   std::unique_ptr<MetricsRegistry> reg_;
   std::unique_ptr<TimeseriesSampler> sampler_;
   std::unique_ptr<health::HealthMonitor> monitor_;

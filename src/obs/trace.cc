@@ -7,6 +7,7 @@
 #include <ostream>
 
 #include "common/assert.h"
+#include "obs/json.h"
 #include "obs/sampler.h"
 
 namespace ordma::obs {
@@ -86,22 +87,6 @@ void TraceRecorder::clear() {
 
 namespace {
 
-// Span names and track names are ASCII identifiers by convention; escape
-// defensively anyway so the output is always valid JSON.
-void json_escaped(std::ostream& os, std::string_view s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      os << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      os << buf;
-    } else {
-      os << c;
-    }
-  }
-}
-
 void emit_ts(std::ostream& os, std::int64_t ns) {
   // Chrome trace timestamps are microseconds; print with ns precision.
   char buf[32];
@@ -134,14 +119,14 @@ void TraceRecorder::write_chrome_json(std::ostream& os) const {
     sep();
     os << R"({"ph":"M","name":"process_name","pid":)" << pid
        << R"(,"tid":0,"args":{"name":")";
-    json_escaped(os, processes_[pid]);
+    json::escaped(os, processes_[pid]);
     os << "\"}}";
   }
   for (TrackId t = 0; t < tracks_.size(); ++t) {
     sep();
     os << R"({"ph":"M","name":"thread_name","pid":)" << tracks_[t].pid
        << R"(,"tid":)" << t + 1 << R"(,"args":{"name":")";
-    json_escaped(os, tracks_[t].component);
+    json::escaped(os, tracks_[t].component);
     os << "\"}}";
     sep();
     os << R"({"ph":"M","name":"thread_sort_index","pid":)" << tracks_[t].pid
@@ -163,9 +148,9 @@ void TraceRecorder::write_chrome_json(std::ostream& os) const {
       case Kind::root: {
         sep();
         os << R"({"ph":"X","name":")";
-        json_escaped(os, ev.name);
+        json::escaped(os, ev.name);
         os << R"(","cat":")";
-        json_escaped(os, category_of(ev.name));
+        json::escaped(os, category_of(ev.name));
         os << R"(","pid":)" << tracks_[ev.track].pid << R"(,"tid":)"
            << ev.track + 1 << R"(,"ts":)";
         emit_ts(os, ev.begin_ns);
@@ -177,9 +162,9 @@ void TraceRecorder::write_chrome_json(std::ostream& os) const {
       case Kind::instant: {
         sep();
         os << R"({"ph":"i","s":"t","name":")";
-        json_escaped(os, ev.name);
+        json::escaped(os, ev.name);
         os << R"(","cat":")";
-        json_escaped(os, category_of(ev.name));
+        json::escaped(os, category_of(ev.name));
         os << R"(","pid":)" << tracks_[ev.track].pid << R"(,"tid":)"
            << ev.track + 1 << R"(,"ts":)";
         emit_ts(os, ev.begin_ns);
@@ -199,7 +184,7 @@ void TraceRecorder::write_chrome_json(std::ostream& os) const {
       sep();
       os << R"({"ph":")" << ph << R"(","cat":"flow","id":)" << op
          << R"(,"name":")";
-      json_escaped(os, points[i].name);
+      json::escaped(os, points[i].name);
       os << R"(","pid":)" << tracks_[points[i].track].pid << R"(,"tid":)"
          << points[i].track + 1 << R"(,"ts":)";
       emit_ts(os, points[i].at);

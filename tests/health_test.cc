@@ -15,6 +15,7 @@
 #include "fault/fault.h"
 #include "obs/health.h"
 #include "obs/metrics.h"
+#include "obs/sink.h"
 #include "obs/timeseries.h"
 
 namespace ordma {
@@ -22,7 +23,6 @@ namespace {
 
 using obs::MetricsRegistry;
 using obs::health::HealthMonitor;
-using obs::health::HealthSink;
 using obs::health::SloSpec;
 
 // A ratio SLO over synthetic counters: trips when both burn windows fire,
@@ -167,13 +167,14 @@ TEST(Health, DegradedPhaseNamesTheViolatedSlo) {
   spec.fast_windows = 2;
   spec.slow_windows = 4;
 
-  obs::ts::TimeseriesConfig tcfg;
-  tcfg.interval = usec(500);
-  obs::ts::TimeseriesSink ts_sink(obs::ts::TimeseriesSink::Format::json,
-                                  tcfg);
-  obs::ts::install(&ts_sink);
-  HealthSink h_sink(usec(500), {spec});
-  obs::health::install_health_sink(&h_sink);
+  obs::SinkSet sinks;
+  sinks.ts_config.interval = usec(500);
+  sinks.timeseries.emplace(obs::Sink::Layout::array);
+  sinks.health.emplace(obs::Sink::Layout::array);
+  sinks.slos = {spec};
+  obs::install_sinks(&sinks);
+  const obs::Sink& ts_sink = *sinks.timeseries;
+  const obs::Sink& h_sink = *sinks.health;
 
   {
     ClusterConfig cc;
@@ -215,11 +216,10 @@ TEST(Health, DegradedPhaseNamesTheViolatedSlo) {
     ASSERT_TRUE(done);
   }  // RunScope destructor: health + timeseries docs land in the sinks
 
-  obs::ts::install(nullptr);
-  obs::health::install_health_sink(nullptr);
+  obs::install_sinks(nullptr);
 
   ASSERT_EQ(h_sink.runs(), 1u);
-  EXPECT_TRUE(h_sink.any_trips());
+  EXPECT_TRUE(sinks.slo_trips != 0);
   std::ostringstream hs;
   h_sink.write(hs);
   const std::string health_doc = hs.str();

@@ -26,6 +26,7 @@
 #include "obs/health.h"
 #include "obs/metrics.h"
 #include "obs/sampler.h"
+#include "obs/sink.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "run/runner.h"
@@ -157,49 +158,52 @@ TEST(ParallelDeterminism, ArenaOnMatchesArenaOffBitForBit) {
   }
 }
 
+// One sweep cell: a small observed cluster workload under a RunScope, whose
+// documents land in whichever SinkSet is installed.
+void observed_cell(std::size_t index) {
+  core::ClusterConfig cc;
+  cc.fs.block_size = KiB(4);
+  core::Cluster c(cc);
+  c.start_nfs();
+  const Bytes io = KiB(4) * (1 + index % 4);
+  const Bytes fsize = KiB(64);
+  auto client = c.make_nfs_client(0, io);
+
+  obs::ts::RunScope ts_run(c.engine(), "cell" + std::to_string(index));
+  EXPECT_TRUE(ts_run.active());
+  c.export_metrics(ts_run.registry());
+
+  bool done = false;
+  c.engine().spawn([](core::Cluster& c, core::FileClient& client, Bytes io,
+                      Bytes fsize, bool& done) -> sim::Task<void> {
+    co_await c.make_file("f", fsize, /*warm=*/true);
+    auto open = co_await client.open("f");
+    ORDMA_CHECK(open.ok());
+    auto& h = c.client(0);
+    const mem::Vaddr buf = h.map_new(h.user_as(), io);
+    for (Bytes off = 0; off + io <= fsize; off += io) {
+      auto n = co_await client.pread(open.value().fh, off, buf, io);
+      ORDMA_CHECK(n.ok());
+    }
+    done = true;
+  }(c, *client, io, fsize, done));
+  c.engine().run();
+  EXPECT_TRUE(done);
+}
+
 // One sweep cell producing a timeseries document: installs its own
-// thread-local TimeseriesSink (the TlsCtx isolation contract — each worker
-// is its own timeseries domain), runs a small observed cluster workload
-// under a RunScope, and returns the serialized document.
+// thread-local SinkSet (the TlsCtx isolation contract — each worker is its
+// own timeseries domain), runs observed_cell, and returns the serialized
+// document.
 std::string timeseries_run(std::size_t index) {
   mem::ScopedSimArena arena;
-  obs::ts::TimeseriesConfig cfg;
-  cfg.interval = usec(20);
-  obs::ts::TimeseriesSink sink(obs::ts::TimeseriesSink::Format::json, cfg);
-  obs::ts::install(&sink);
-
-  {
-    core::ClusterConfig cc;
-    cc.fs.block_size = KiB(4);
-    core::Cluster c(cc);
-    c.start_nfs();
-    const Bytes io = KiB(4) * (1 + index % 4);
-    const Bytes fsize = KiB(64);
-    auto client = c.make_nfs_client(0, io);
-
-    obs::ts::RunScope ts_run(c.engine(), "cell" + std::to_string(index));
-    EXPECT_TRUE(ts_run.active());
-    c.export_metrics(ts_run.registry());
-
-    bool done = false;
-    c.engine().spawn([](core::Cluster& c, core::FileClient& client, Bytes io,
-                        Bytes fsize, bool& done) -> sim::Task<void> {
-      co_await c.make_file("f", fsize, /*warm=*/true);
-      auto open = co_await client.open("f");
-      ORDMA_CHECK(open.ok());
-      auto& h = c.client(0);
-      const mem::Vaddr buf = h.map_new(h.user_as(), io);
-      for (Bytes off = 0; off + io <= fsize; off += io) {
-        auto n = co_await client.pread(open.value().fh, off, buf, io);
-        ORDMA_CHECK(n.ok());
-      }
-      done = true;
-    }(c, *client, io, fsize, done));
-    c.engine().run();
-    EXPECT_TRUE(done);
-  }
-
-  obs::ts::install(nullptr);
+  obs::SinkSet sinks;
+  sinks.ts_config.interval = usec(20);
+  sinks.timeseries.emplace(obs::Sink::Layout::array);
+  obs::install_sinks(&sinks);
+  observed_cell(index);
+  obs::install_sinks(nullptr);
+  obs::Sink& sink = *sinks.timeseries;
   EXPECT_EQ(sink.runs(), 1u);
   return sink.runs() ? sink.doc(0) : std::string();
 }
@@ -217,6 +221,39 @@ TEST(ParallelDeterminism, TimeseriesDocumentsAreBitIdenticalToSerial) {
   // Distinct workloads produced distinct documents, so byte-equality above
   // is meaningful.
   EXPECT_NE(serial[0], serial[1]);
+}
+
+// The --metrics/--timeseries/--health path of a parallel sweep: one
+// process-global SinkSet, as obs/cli.h installs it, fed by every worker at
+// once. Returns the three files' bytes.
+std::string shared_sinks_sweep(unsigned jobs, std::size_t runs) {
+  obs::SinkSet sinks;
+  sinks.ts_config.interval = usec(20);
+  sinks.metrics.emplace(obs::Sink::Layout::object);
+  sinks.timeseries.emplace(obs::Sink::Layout::array);
+  sinks.health.emplace(obs::Sink::Layout::array);
+  obs::install_global_sinks(&sinks);
+  run::parallel_map(jobs, runs, [](std::size_t i) {
+    mem::ScopedSimArena arena;
+    observed_cell(i);
+    return 0;
+  });
+  obs::install_global_sinks(nullptr);
+  EXPECT_EQ(sinks.metrics->runs(), runs);
+  EXPECT_EQ(sinks.timeseries->runs(), runs);
+  EXPECT_EQ(sinks.health->runs(), runs);
+  std::ostringstream os;
+  sinks.metrics->write(os);
+  sinks.timeseries->write(os);
+  sinks.health->write(os);
+  return os.str();
+}
+
+TEST(ParallelDeterminism, SharedSinkOutputEqualsSerial) {
+  constexpr std::size_t kRuns = 8;
+  const std::string serial = shared_sinks_sweep(1, kRuns);
+  EXPECT_EQ(serial, shared_sinks_sweep(8, kRuns));
+  EXPECT_NE(serial.find("\"cell7\":"), std::string::npos);
 }
 
 // The same observed run, but with a TraceSampler between the clients and
@@ -315,9 +352,8 @@ TEST(ParallelDeterminism, SampledRunsAreBitIdenticalToSerial) {
   }
 }
 
-// Health documents collected through the process-global HealthSink are
-// byte-identical whether the sweep ran serial or 8-wide: the sink is
-// mutexed and label-sorted, so worker interleaving cannot reorder output.
+// Health documents are byte-identical whether the sweep ran serial or
+// 8-wide.
 std::string health_run(std::size_t index) {
   mem::ScopedSimArena arena;
   core::ClusterConfig cc;

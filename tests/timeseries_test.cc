@@ -9,7 +9,7 @@
 //     fires-before-same-instant-events rule, and zero perturbation;
 //   * TimeseriesSampler — window sums partition run totals exactly,
 //     trailing partial windows, ring drop behavior, JSON/CSV rendering;
-//   * summarize_phases — warmup/steady/saturation/degraded labeling on
+//   * summarize_phases — warmup/steady/saturation/low labeling on
 //     synthetic series;
 //   * a full-cluster run pinned bit-identical with sampling on and off.
 #include <gtest/gtest.h>
@@ -176,6 +176,8 @@ TEST(Timeseries, ParseDuration) {
   EXPECT_FALSE(obs::ts::parse_duration("0ms", &d));
   EXPECT_FALSE(obs::ts::parse_duration("-5us", &d));
   EXPECT_FALSE(obs::ts::parse_duration("5min", &d));
+  EXPECT_FALSE(obs::ts::parse_duration("10000000000s", &d));  // > int64 ns
+  EXPECT_FALSE(obs::ts::parse_duration("99999999999999999999", &d));  // ERANGE
 }
 
 // --- engine sampling hook ---------------------------------------------------
@@ -386,7 +388,7 @@ TEST(PhaseSummarizer, LabelsDegradedCollapse) {
   const auto segs = obs::ts::summarize_phases(v);
   ASSERT_EQ(segs.size(), 2u);
   EXPECT_EQ(segs[0].label, obs::ts::Phase::steady);
-  EXPECT_EQ(segs[1].label, obs::ts::Phase::degraded);
+  EXPECT_EQ(segs[1].label, obs::ts::Phase::low);
   EXPECT_DOUBLE_EQ(segs[1].mean, 2.0);
 }
 

@@ -39,6 +39,7 @@
 #include "core/cluster.h"
 #include "mem/arena.h"
 #include "obs/flight.h"
+#include "obs/sink.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "rpc/xdr.h"
@@ -507,18 +508,19 @@ TEST(Torture, TimeseriesDoesNotPerturbTheRun) {
     opt.seed = 13;
     const TortureResult plain = run_torture(opt);
 
-    obs::ts::TimeseriesConfig cfg;
-    cfg.interval = usec(100);
-    obs::ts::TimeseriesSink sink(obs::ts::TimeseriesSink::Format::json, cfg);
-    obs::ts::install(&sink);
+    obs::SinkSet sinks;
+    sinks.ts_config.interval = usec(100);
+    sinks.timeseries.emplace(obs::Sink::Layout::array);
+    obs::install_sinks(&sinks);
     const TortureResult sampled = run_torture(opt);
-    obs::ts::install(nullptr);
+    obs::install_sinks(nullptr);
 
     EXPECT_TRUE(plain.completed && sampled.completed) << proto_name(proto);
     EXPECT_EQ(plain.hash, sampled.hash) << proto_name(proto);
     EXPECT_EQ(plain.injected, sampled.injected) << proto_name(proto);
-    ASSERT_EQ(sink.runs(), 1u) << proto_name(proto);
-    EXPECT_NE(sink.doc(0).find("\"schema\":\"ordma.timeseries.v1\""),
+    ASSERT_EQ(sinks.timeseries->runs(), 1u) << proto_name(proto);
+    EXPECT_NE(sinks.timeseries->doc(0).find(
+                  "\"schema\":\"ordma.timeseries.v1\""),
               std::string::npos)
         << proto_name(proto);
   }
