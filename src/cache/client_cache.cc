@@ -5,7 +5,7 @@ namespace ordma::cache {
 ClientCache::ClientCache(host::Host& host, Config cfg)
     : host_(host),
       cfg_(cfg),
-      data_policy_(make_policy(cfg.data_policy, cfg.data_blocks)),
+      data_policy_(make_policy("lru", cfg.data_blocks)),
       hdr_policy_(make_policy(cfg.ref_policy, cfg.max_headers)) {
   ORDMA_CHECK(cfg_.max_headers >= cfg_.data_blocks);
   slab_ = host_.map_new(host_.user_as(), slab_len());

@@ -64,7 +64,8 @@ class ClientCache {
     std::size_t data_blocks = 256;
     Bytes block_size = KiB(4);
     std::size_t max_headers = 65536;
-    std::string data_policy = "lru";
+    // Replacement policy of the headers (the reference directory:
+    // cache/policy.h make_policy). Data blocks are always replaced LRU.
     std::string ref_policy = "lru";
   };
 

@@ -19,7 +19,7 @@ DafsClient::DafsClient(host::Host& host, net::NodeId server,
 
 sim::Task<Status> DafsClient::ensure_connected() {
   if (conn_) co_return Status::Ok();
-  conn_ = co_await msg::vi_connect(host_, server_, cfg_.listen_port,
+  conn_ = co_await msg::vi_connect(host_, server_, kDafsListenPort,
                                    cfg_.completion);
   host_.engine().spawn(rx_loop());
   co_return Status::Ok();
@@ -106,9 +106,7 @@ void DafsClient::decode_refs(rpc::XdrDecoder& dec, std::uint32_t count,
   count &= ~kVersionedRefsBit;
   out.refs.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
-    const std::uint64_t fbn = dec.u64();
-    out.refs.emplace_back(fbn, decode_ref(dec));
-    if (versioned) out.ref_versions.push_back(dec.u64());
+    out.refs.push_back(decode_ref_record(dec, versioned));
   }
 }
 

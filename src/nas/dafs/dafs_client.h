@@ -20,6 +20,7 @@
 #include "msg/vi.h"
 #include "nas/dafs/dafs_proto.h"
 #include "nas/registration.h"
+#include "nas/wire_util.h"
 #include "rpc/call_table.h"
 #include "rpc/rpc.h"
 #include "rpc/xdr.h"
@@ -27,7 +28,6 @@
 namespace ordma::nas::dafs {
 
 struct DafsClientConfig {
-  std::uint32_t listen_port = kDafsListenPort;
   msg::Completion completion = msg::Completion::poll;
   // Default transport for FileClient::pread: direct (RDMA) or in-line.
   bool direct_reads = true;
@@ -58,11 +58,9 @@ struct DafsReadResult {
   // that the payload actually landed intact.
   std::uint32_t data_cksum = 0;
   net::Buffer inline_data;  // in-line reads only
-  // Piggybacked references: (server file block number, reference).
-  std::vector<std::pair<std::uint64_t, cache::RemoteRef>> refs;
-  // Per-ref commit versions (coherence mode only; parallel to `refs`,
-  // empty when the server sent unversioned records).
-  std::vector<std::uint64_t> ref_versions;
+  // Piggybacked reference records; versions are 0 unless the server runs
+  // coherence.
+  std::vector<RefRecord> refs;
 };
 
 class DafsClient : public core::FileClient {

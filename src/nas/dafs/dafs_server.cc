@@ -17,7 +17,7 @@ DafsServer::DafsServer(host::Host& host, fs::ServerFs& fs,
     : host_(host),
       fs_(fs),
       cfg_(cfg),
-      listener_(host, cfg.listen_port, cfg.completion) {
+      listener_(host, kDafsListenPort, cfg.completion) {
   // Revoke a block's exported segment the moment its memory is reused:
   // stale client references then fault at the NIC instead of reading
   // someone else's data (§4.2 consistency mechanism).
@@ -100,30 +100,22 @@ void DafsServer::piggyback(rpc::XdrEncoder& out, std::uint64_t fbn,
                            fs::CacheBlock& blk, std::uint64_t version) {
   // With the write path on, blocks are exported read-write so the same
   // reference serves gets and optimistic puts. Coherence appends the
-  // block's commit version to each record (kVersionedRefsBit signals the
-  // wider layout so plain ODAFS replies keep their exact wire size).
+  // block's commit version to each record.
   const auto perm = cfg_.writable_refs ? crypto::SegPerm::read_write
                                        : crypto::SegPerm::read;
-  if (blk.export_seg == 0) {
-    auto cap = host_.nic().export_segment(fs_.cache().space(), blk.va,
-                                          fs_.block_size(), perm,
-                                          /*pin_now=*/false);
-    if (!cap.ok()) return;  // can't export (e.g. TPT pressure): no ref
+  const bool fresh = blk.export_seg == 0;
+  auto cap = fresh ? host_.nic().export_segment(fs_.cache().space(), blk.va,
+                                                fs_.block_size(), perm,
+                                                /*pin_now=*/false)
+                   : host_.nic().capability_for(blk.export_seg);
+  if (!cap.ok()) return;  // can't export (e.g. TPT pressure): no ref
+  if (fresh) {
     blk.export_seg = cap.value().segment_id;
     ++exported_;
-    out.u64(fbn);
-    encode_ref(out, cache::RemoteRef{cap.value().segment_id,
-                                     cap.value().base, fs_.block_size(),
-                                     cap.value()});
-    if (cfg_.coherence) out.u64(version);
-    return;
   }
-  auto cap = host_.nic().capability_for(blk.export_seg);
-  if (!cap.ok()) return;
-  out.u64(fbn);
-  encode_ref(out, cache::RemoteRef{blk.export_seg, cap.value().base,
-                                   fs_.block_size(), cap.value()});
-  if (cfg_.coherence) out.u64(version);
+  const cache::RemoteRef ref{blk.export_seg, cap.value().base,
+                             fs_.block_size(), cap.value()};
+  encode_ref_record(out, RefRecord{fbn, ref, version}, cfg_.coherence);
 }
 
 void DafsServer::encode_attr_ref(rpc::XdrEncoder& out, fs::Ino ino) {

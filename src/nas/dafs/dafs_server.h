@@ -33,7 +33,6 @@
 namespace ordma::nas::dafs {
 
 struct DafsServerConfig {
-  std::uint32_t listen_port = kDafsListenPort;
   // ODAFS: export cache blocks and piggyback references on read replies.
   bool piggyback_refs = false;
   // Completion discipline for the server's VI endpoints (§5.2 compares

@@ -31,21 +31,36 @@ NfsClientBase::NfsClientBase(host::Host& host, msg::UdpStack& stack,
       server_(server),
       transfer_size_(transfer_size) {}
 
+sim::Task<Result<rpc::RpcReplyInfo>> NfsClientBase::call(
+    std::uint32_t proc, rpc::XdrEncoder args, obs::OpId op,
+    const rpc::Prepost* prepost) {
+  auto res = co_await rpc_.call(server_, kNfsPort, proc, args.finish(),
+                                prepost, op);
+  if (res.ok() && res.value().status != 0) {
+    co_return static_cast<Errc>(res.value().status);
+  }
+  co_return res;
+}
+
+sim::Task<Result<fs::Attr>> NfsClientBase::lookup(fs::Ino dir,
+                                                  const std::string& name) {
+  rpc::XdrEncoder args;
+  args.u64(dir);
+  args.str(name);
+  auto res = co_await call(kLookup, std::move(args));
+  if (!res.ok()) co_return res.status();
+  rpc::XdrDecoder dec(res.value().results);
+  co_return decode_attr(dec);
+}
+
 sim::Task<Result<fs::Attr>> NfsClientBase::resolve(const std::string& path) {
   fs::Attr cur;
   cur.ino = fs::ServerFs::kRootIno;
   cur.type = fs::FileType::directory;
   for (const auto& name : components(path)) {
-    rpc::XdrEncoder args;
-    args.u64(cur.ino);
-    args.str(name);
-    auto res = co_await rpc_.call(server_, kNfsPort, kLookup, args.finish());
-    if (!res.ok()) co_return res.status();
-    if (res.value().status != 0) {
-      co_return static_cast<Errc>(res.value().status);
-    }
-    rpc::XdrDecoder dec(res.value().results);
-    cur = decode_attr(dec);
+    auto attr = co_await lookup(cur.ino, name);
+    if (!attr.ok()) co_return attr.status();
+    cur = attr.value();
   }
   co_return cur;
 }
@@ -58,16 +73,9 @@ NfsClientBase::resolve_parent(const std::string& path) {
   parts.pop_back();
   fs::Ino dir = fs::ServerFs::kRootIno;
   for (const auto& name : parts) {
-    rpc::XdrEncoder args;
-    args.u64(dir);
-    args.str(name);
-    auto res = co_await rpc_.call(server_, kNfsPort, kLookup, args.finish());
-    if (!res.ok()) co_return res.status();
-    if (res.value().status != 0) {
-      co_return static_cast<Errc>(res.value().status);
-    }
-    rpc::XdrDecoder dec(res.value().results);
-    dir = decode_attr(dec).ino;
+    auto attr = co_await lookup(dir, name);
+    if (!attr.ok()) co_return attr.status();
+    dir = attr.value().ino;
   }
   co_return std::make_pair(dir, leaf);
 }
@@ -119,12 +127,8 @@ sim::Task<Result<Bytes>> NfsClientBase::pwrite_op(std::uint64_t fh,
     args.u64(fh);
     args.u64(off + done);
     args.opaque(data);
-    auto res = co_await rpc_.call(server_, kNfsPort, kWrite, args.finish(),
-                                  nullptr, op);
+    auto res = co_await call(kWrite, std::move(args), op);
     if (!res.ok()) co_return res.status();
-    if (res.value().status != 0) {
-      co_return static_cast<Errc>(res.value().status);
-    }
     rpc::XdrDecoder dec(res.value().results);
     done += dec.u32();
   }
@@ -136,10 +140,8 @@ sim::Task<Result<fs::Attr>> NfsClientBase::getattr_op(std::uint64_t fh,
   co_await host_.cpu_consume(host_.costs().cpu_syscall, op, "io/syscall");
   rpc::XdrEncoder args;
   args.u64(fh);
-  auto res = co_await rpc_.call(server_, kNfsPort, kGetattr, args.finish(),
-                                nullptr, op);
+  auto res = co_await call(kGetattr, std::move(args), op);
   if (!res.ok()) co_return res.status();
-  if (res.value().status != 0) co_return static_cast<Errc>(res.value().status);
   rpc::XdrDecoder dec(res.value().results);
   co_return decode_attr(dec);
 }
@@ -153,9 +155,8 @@ sim::Task<Result<core::OpenResult>> NfsClientBase::create(
   args.u64(parent.value().first);
   args.str(parent.value().second);
   args.u32(static_cast<std::uint32_t>(fs::FileType::regular));
-  auto res = co_await rpc_.call(server_, kNfsPort, kCreate, args.finish());
+  auto res = co_await call(kCreate, std::move(args));
   if (!res.ok()) co_return res.status();
-  if (res.value().status != 0) co_return static_cast<Errc>(res.value().status);
   rpc::XdrDecoder dec(res.value().results);
   const auto attr = decode_attr(dec);
   co_return core::OpenResult{attr.ino, attr.size};
@@ -168,9 +169,7 @@ sim::Task<Status> NfsClientBase::unlink(const std::string& path) {
   rpc::XdrEncoder args;
   args.u64(parent.value().first);
   args.str(parent.value().second);
-  auto res = co_await rpc_.call(server_, kNfsPort, kRemove, args.finish());
-  if (!res.ok()) co_return res.status();
-  co_return Status(static_cast<Errc>(res.value().status));
+  co_return (co_await call(kRemove, std::move(args))).status();
 }
 
 // ---------------------------------------------------------------------------
@@ -185,10 +184,8 @@ sim::Task<Result<Bytes>> NfsClient::read_chunk(std::uint64_t ino, Bytes off,
   args.u64(ino);
   args.u64(off);
   args.u32(static_cast<std::uint32_t>(len));
-  auto res = co_await rpc_.call(server_, kNfsPort, kRead, args.finish(),
-                                nullptr, op);
+  auto res = co_await call(kRead, std::move(args), op);
   if (!res.ok()) co_return res.status();
-  if (res.value().status != 0) co_return static_cast<Errc>(res.value().status);
 
   rpc::XdrDecoder dec(res.value().results);
   const Bytes n = dec.u32();
@@ -225,11 +222,9 @@ sim::Task<Result<Bytes>> NfsPrepostClient::read_chunk(std::uint64_t ino,
   args.u64(off);
   args.u32(static_cast<std::uint32_t>(len));
   rpc::Prepost pp{&host_.user_as(), user_va, len};
-  auto res =
-      co_await rpc_.call(server_, kNfsPort, kRead, args.finish(), &pp, op);
+  auto res = co_await call(kRead, std::move(args), op, &pp);
   co_await host_.cpu_consume(cm.memory_deregister, op, "io/register");
   if (!res.ok()) co_return res.status();
-  if (res.value().status != 0) co_return static_cast<Errc>(res.value().status);
 
   rpc::XdrDecoder dec(res.value().results);
   const Bytes n = dec.u32();
@@ -275,12 +270,8 @@ sim::Task<Result<Bytes>> NfsHybridClient::read_chunk(std::uint64_t ino,
         args.u32(static_cast<std::uint32_t>(len));
         args.u64(nic_va);
         encode_cap(args, r.cap);
-        auto res = co_await rpc_.call(server_, kNfsPort, kReadHybrid,
-                                      args.finish(), nullptr, op);
+        auto res = co_await call(kReadHybrid, std::move(args), op);
         if (!res.ok()) co_return res.status();
-        if (res.value().status != 0) {
-          co_return static_cast<Errc>(res.value().status);
-        }
 
         co_await host_.cpu_consume(cm.nfs_client_proc, op,
                                    "io/nfs_client_proc");

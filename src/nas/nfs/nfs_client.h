@@ -56,6 +56,14 @@ class NfsClientBase : public core::FileClient {
                                               mem::Vaddr user_va, Bytes len,
                                               obs::OpId op) = 0;
 
+  // One NFS call: the RPC's error, else a non-zero procedure status as
+  // the error, else the reply (whose rddp_placed tells a pre-posting
+  // caller where the bulk went).
+  sim::Task<Result<rpc::RpcReplyInfo>> call(
+      std::uint32_t proc, rpc::XdrEncoder args, obs::OpId op = 0,
+      const rpc::Prepost* prepost = nullptr);
+  // LOOKUP `name` in directory `dir`.
+  sim::Task<Result<fs::Attr>> lookup(fs::Ino dir, const std::string& name);
   // Resolve a path ("a/b/c", relative to the export root) to (attr).
   sim::Task<Result<fs::Attr>> resolve(const std::string& path);
   // Resolve the directory part and return (dir ino, leaf name).

@@ -11,11 +11,9 @@ std::uint32_t err_u32(Errc e) { return static_cast<std::uint32_t>(e); }
 NfsServer::NfsServer(host::Host& host, msg::UdpStack& stack,
                      fs::ServerFs& fs, std::uint16_t port)
     : host_(host), fs_(fs), rpc_(host, stack, port) {
-  auto bind = [this](std::uint32_t proc,
-                     sim::Task<rpc::RpcServerReply> (NfsServer::*fn)(
-                         const rpc::RpcCallCtx&)) {
+  auto bind = [this](std::uint32_t proc, Proc fn) {
     rpc_.register_handler(proc, [this, fn](const rpc::RpcCallCtx& ctx) {
-      return (this->*fn)(ctx);
+      return serve(fn, ctx);
     });
   };
   bind(kLookup, &NfsServer::do_lookup);
@@ -28,10 +26,15 @@ NfsServer::NfsServer(host::Host& host, msg::UdpStack& stack,
   bind(kReaddir, &NfsServer::do_readdir);
 }
 
-sim::Task<rpc::RpcServerReply> NfsServer::do_lookup(
-    const rpc::RpcCallCtx& ctx) {
+sim::Task<rpc::RpcServerReply> NfsServer::serve(
+    Proc fn, const rpc::RpcCallCtx& ctx) {
   co_await host_.cpu_consume(host_.costs().nfs_server_proc, ctx.trace_op,
                              "io/nfs_server_proc");
+  co_return co_await (this->*fn)(ctx);
+}
+
+sim::Task<rpc::RpcServerReply> NfsServer::do_lookup(
+    const rpc::RpcCallCtx& ctx) {
   rpc::XdrDecoder dec(ctx.args);
   const fs::Ino dir = dec.u64();
   const std::string name = dec.str();
@@ -47,8 +50,6 @@ sim::Task<rpc::RpcServerReply> NfsServer::do_lookup(
 
 sim::Task<rpc::RpcServerReply> NfsServer::do_getattr(
     const rpc::RpcCallCtx& ctx) {
-  co_await host_.cpu_consume(host_.costs().nfs_server_proc, ctx.trace_op,
-                             "io/nfs_server_proc");
   rpc::XdrDecoder dec(ctx.args);
   const fs::Ino ino = dec.u64();
   rpc::RpcServerReply r;
@@ -63,8 +64,6 @@ sim::Task<rpc::RpcServerReply> NfsServer::do_getattr(
 
 sim::Task<rpc::RpcServerReply> NfsServer::do_read(
     const rpc::RpcCallCtx& ctx) {
-  co_await host_.cpu_consume(host_.costs().nfs_server_proc, ctx.trace_op,
-                             "io/nfs_server_proc");
   rpc::XdrDecoder dec(ctx.args);
   const fs::Ino ino = dec.u64();
   const Bytes off = dec.u64();
@@ -85,8 +84,6 @@ sim::Task<rpc::RpcServerReply> NfsServer::do_read(
 
 sim::Task<rpc::RpcServerReply> NfsServer::do_read_hybrid(
     const rpc::RpcCallCtx& ctx) {
-  co_await host_.cpu_consume(host_.costs().nfs_server_proc, ctx.trace_op,
-                             "io/nfs_server_proc");
   rpc::XdrDecoder dec(ctx.args);
   const fs::Ino ino = dec.u64();
   const Bytes off = dec.u64();
@@ -123,8 +120,6 @@ sim::Task<rpc::RpcServerReply> NfsServer::do_read_hybrid(
 
 sim::Task<rpc::RpcServerReply> NfsServer::do_write(
     const rpc::RpcCallCtx& ctx) {
-  co_await host_.cpu_consume(host_.costs().nfs_server_proc, ctx.trace_op,
-                             "io/nfs_server_proc");
   rpc::XdrDecoder dec(ctx.args);
   const fs::Ino ino = dec.u64();
   const Bytes off = dec.u64();
@@ -145,8 +140,6 @@ sim::Task<rpc::RpcServerReply> NfsServer::do_write(
 
 sim::Task<rpc::RpcServerReply> NfsServer::do_create(
     const rpc::RpcCallCtx& ctx) {
-  co_await host_.cpu_consume(host_.costs().nfs_server_proc, ctx.trace_op,
-                             "io/nfs_server_proc");
   rpc::XdrDecoder dec(ctx.args);
   const fs::Ino dir = dec.u64();
   const std::string name = dec.str();
@@ -163,8 +156,6 @@ sim::Task<rpc::RpcServerReply> NfsServer::do_create(
 
 sim::Task<rpc::RpcServerReply> NfsServer::do_remove(
     const rpc::RpcCallCtx& ctx) {
-  co_await host_.cpu_consume(host_.costs().nfs_server_proc, ctx.trace_op,
-                             "io/nfs_server_proc");
   rpc::XdrDecoder dec(ctx.args);
   const fs::Ino dir = dec.u64();
   const std::string name = dec.str();
@@ -175,8 +166,6 @@ sim::Task<rpc::RpcServerReply> NfsServer::do_remove(
 
 sim::Task<rpc::RpcServerReply> NfsServer::do_readdir(
     const rpc::RpcCallCtx& ctx) {
-  co_await host_.cpu_consume(host_.costs().nfs_server_proc, ctx.trace_op,
-                             "io/nfs_server_proc");
   rpc::XdrDecoder dec(ctx.args);
   const fs::Ino dir = dec.u64();
   rpc::RpcServerReply r;

@@ -25,6 +25,11 @@ class NfsServer {
   const rpc::RpcServer& rpc_server() const { return rpc_; }
 
  private:
+  using Proc =
+      sim::Task<rpc::RpcServerReply> (NfsServer::*)(const rpc::RpcCallCtx&);
+  // Every procedure: the server's per-call processing charge, then `fn`.
+  sim::Task<rpc::RpcServerReply> serve(Proc fn, const rpc::RpcCallCtx& ctx);
+
   sim::Task<rpc::RpcServerReply> do_lookup(const rpc::RpcCallCtx& ctx);
   sim::Task<rpc::RpcServerReply> do_getattr(const rpc::RpcCallCtx& ctx);
   sim::Task<rpc::RpcServerReply> do_read(const rpc::RpcCallCtx& ctx);

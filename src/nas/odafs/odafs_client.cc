@@ -23,10 +23,6 @@ OdafsClient::OdafsClient(host::Host& host, net::NodeId server,
 }
 
 std::size_t OdafsClient::writeback_high_water() const {
-  const std::size_t cap = std::max<std::size_t>(1, cache_.data_capacity() / 2);
-  if (cfg_.writeback_high_water != 0) {
-    return std::min(cfg_.writeback_high_water, cap);
-  }
   return std::max<std::size_t>(1, cache_.data_capacity() / 4);
 }
 
@@ -47,9 +43,9 @@ void OdafsClient::store_refs(std::uint64_t fh,
   const Bytes cbs = cache_.block_size();
   const Bytes sbs = server_block_;
   if (cbs > sbs) return;  // one client block would need multiple ORDMAs
-  for (std::size_t r = 0; r < res.refs.size(); ++r) {
-    const auto& [server_fbn, ref] = res.refs[r];
-    const Bytes server_off = server_fbn * sbs;
+  for (const RefRecord& rec : res.refs) {
+    const cache::RemoteRef& ref = rec.ref;
+    const Bytes server_off = rec.fbn * sbs;
     for (Bytes sub = 0; sub + cbs <= sbs; sub += cbs) {
       const std::uint64_t idx = (server_off + sub) / cbs;
       auto& hdr = cache_.ensure(cache::BlockKey{fh, idx});
@@ -59,9 +55,7 @@ void OdafsClient::store_refs(std::uint64_t fh,
       cache_.set_ref(hdr, sub_ref);
       // Coherence servers piggyback the block's commit version; remember
       // the newest one seen so refills can be tagged conservatively.
-      if (r < res.ref_versions.size()) {
-        hdr.ref_version = std::max(hdr.ref_version, res.ref_versions[r]);
-      }
+      hdr.ref_version = std::max(hdr.ref_version, rec.version);
     }
   }
 }

@@ -55,15 +55,11 @@ struct OdafsClientConfig {
   // Write path (requires a server with writable_refs for the put paths;
   // puts degrade to RPC write-through when the server refuses them).
   WritePolicy write_policy = WritePolicy::rpc_through;
-  // write_back: flush the oldest dirty block once this many are dirty
-  // (0 = data_blocks/4; clamped to data_blocks/2 so fills always have
-  // unpinned blocks to steal).
-  std::size_t writeback_high_water = 0;
   // Adaptive per-op protocol selection (policy/policy.h). Disabled by
   // default: with policy.enabled=false the client behaves bit-identically
   // to one built before the engine existed (no decisions, no extra state
-  // transitions, no RNG either way). When enabled, `write_policy` above
-  // still names the static arm used if policy.adapt_writes is off.
+  // transitions, no RNG either way). When enabled, the engine picks the
+  // write arm as well, and `write_policy` above is not consulted.
   policy::PolicyConfig policy;
 };
 
@@ -170,6 +166,9 @@ class OdafsClient : public core::FileClient {
   // loop; must not await — flushes are spawned, not awaited).
   void handle_invalidate(std::uint64_t ino, std::uint64_t fbn,
                          std::uint64_t version);
+  // write_back: flush the oldest dirty block once this many (a quarter of
+  // the data blocks) are dirty, so fills always have unpinned blocks to
+  // steal.
   std::size_t writeback_high_water() const;
 
   struct Inflight {

@@ -136,29 +136,30 @@ inline InvalidateMsg decode_invalidate(rpc::XdrDecoder& dec) {
   return m;
 }
 
-// Piggybacked reference record with the block's commit version (coherence
-// mode): (fbn u64, ref, version u64). The read reply flags versioned
-// records by setting kVersionedRefsBit in the ref count.
+// Reference record piggybacked on a read reply: (fbn u64, ref), plus the
+// block's commit version u64 when `versioned` (coherence mode). The reply
+// flags versioned records by setting kVersionedRefsBit in the ref count,
+// so plain ODAFS replies keep their exact wire size.
 inline constexpr std::uint32_t kVersionedRefsBit = 0x80000000u;
 
-struct VersionedRef {
-  std::uint64_t fbn = 0;
+struct RefRecord {
+  std::uint64_t fbn = 0;  // server file block number
   cache::RemoteRef ref;
-  std::uint64_t version = 0;
+  std::uint64_t version = 0;  // 0 in an unversioned record
 };
 
-inline void encode_versioned_ref(rpc::XdrEncoder& enc,
-                                 const VersionedRef& r) {
+inline void encode_ref_record(rpc::XdrEncoder& enc, const RefRecord& r,
+                              bool versioned) {
   enc.u64(r.fbn);
   encode_ref(enc, r.ref);
-  enc.u64(r.version);
+  if (versioned) enc.u64(r.version);
 }
 
-inline VersionedRef decode_versioned_ref(rpc::XdrDecoder& dec) {
-  VersionedRef r;
+inline RefRecord decode_ref_record(rpc::XdrDecoder& dec, bool versioned) {
+  RefRecord r;
   r.fbn = dec.u64();
   r.ref = decode_ref(dec);
-  r.version = dec.u64();
+  if (versioned) r.version = dec.u64();
   return r;
 }
 

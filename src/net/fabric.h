@@ -20,9 +20,6 @@
 namespace ordma::net {
 
 struct FabricConfig {
-  Bandwidth link_bw = Gbps(2);       // paper: 2 Gb/s full-duplex ports
-  Duration cable_latency = nsec(200);  // per hop propagation
-  Duration switch_latency = nsec(500); // cut-through forwarding latency
   // Optional deterministic fault injection (not owned; must outlive the
   // fabric). Installed on each node's downlink so every frame passes the
   // injector exactly once end-to-end.
@@ -33,6 +30,10 @@ class Fabric {
  public:
   using DeliverFn = std::function<void(Packet)>;
 
+  static constexpr Bandwidth kLinkBw = Gbps(2);  // paper: 2 Gb/s ports
+  static constexpr Duration kCableLatency = nsec(200);  // per hop
+  static constexpr Duration kSwitchLatency = nsec(500);  // cut-through
+
   Fabric(sim::Engine& eng, FabricConfig cfg = {}) : eng_(eng), cfg_(cfg) {}
   Fabric(const Fabric&) = delete;
   Fabric& operator=(const Fabric&) = delete;
@@ -41,11 +42,10 @@ class Fabric {
   NodeId add_node(const std::string& name, DeliverFn sink) {
     const NodeId id = static_cast<NodeId>(ports_.size());
     auto port = std::make_unique<Port>();
-    port->up = std::make_unique<Link>(eng_, cfg_.link_bw, cfg_.cable_latency,
-                                      name + ".up");
+    port->up =
+        std::make_unique<Link>(eng_, kLinkBw, kCableLatency, name + ".up");
     port->down = std::make_unique<Link>(
-        eng_, cfg_.link_bw, cfg_.switch_latency + cfg_.cable_latency,
-        name + ".down");
+        eng_, kLinkBw, kSwitchLatency + kCableLatency, name + ".down");
     port->down->set_sink(std::move(sink));
     port->down->set_fault_injector(cfg_.injector);
     // Uplink terminates at the switch, which forwards onto the destination

@@ -348,7 +348,8 @@ enum class Proto : std::uint8_t {
 class CtrlAny {
  public:
   // Exactly sizeof(GmCtrl), the larger of the two control structs; the
-  // static_assert in operator= catches a control struct outgrowing this.
+  // static_assert in the constructor catches a control struct outgrowing
+  // this.
   // Keeping it tight matters: Packet is captured by value in the fabric
   // delivery lambdas, which live inline in engine timer nodes — every
   // byte here is a byte of per-event cache footprint.
@@ -356,16 +357,15 @@ class CtrlAny {
 
   CtrlAny() = default;
 
+  // Implicit: a control word converts wherever a CtrlAny is wanted.
   template <typename T>
     requires(!std::is_same_v<std::remove_cvref_t<T>, CtrlAny> &&
              std::is_trivially_copyable_v<std::remove_cvref_t<T>>)
-  CtrlAny& operator=(const T& v) {
+  CtrlAny(const T& v) : tag_(tag_of<std::remove_cvref_t<T>>()) {  // NOLINT
     using U = std::remove_cvref_t<T>;
     static_assert(sizeof(U) <= kMaxSize);
     static_assert(alignof(U) <= alignof(std::max_align_t));
     std::memcpy(store_, &v, sizeof(U));
-    tag_ = tag_of<U>();
-    return *this;
   }
 
   bool has_value() const { return tag_ != nullptr; }
@@ -413,10 +413,6 @@ struct Packet {
   std::uint32_t frag_index = 0;
   std::uint32_t frag_count = 1;
   Bytes msg_total = 0;  // payload bytes of the whole message
-
-  // Opaque per-message tag the sender's firmware attaches; receivers use it
-  // for demux above the link layer (e.g. GM opcode).
-  std::uint32_t tag = 0;
 
   // Trace context (obs/trace.h): the file-op id this packet works for.
   // Simulation metadata like `ctrl` — carried regardless of tracing state,

@@ -54,15 +54,15 @@ sim::Task<void> Nic::dma_transfer(Bytes n, obs::OpId trace_op) {
 }
 
 // ---------------------------------------------------------------------------
-// GM send path
+// Send path
 // ---------------------------------------------------------------------------
 
-sim::Task<void> Nic::send_fragments(net::NodeId dst, net::Buffer payload,
-                                    GmCtrl ctrl, bool charge_dma,
-                                    obs::OpId trace_op) {
+sim::Task<void> Nic::send_frames(net::NodeId dst, net::Buffer payload,
+                                 net::CtrlAny ctrl, obs::OpId trace_op) {
+  const bool gm = ctrl.holds<GmCtrl>();
+  const Bytes mtu = gm ? cm_.gm_mtu : cm_.eth_mtu;
   const std::uint64_t msg_id = next_msg_id_++;
   const Bytes total = payload.size();
-  const Bytes mtu = cm_.gm_mtu;
   const std::uint32_t nfrags =
       total == 0 ? 1 : static_cast<std::uint32_t>((total + mtu - 1) / mtu);
 
@@ -70,13 +70,13 @@ sim::Task<void> Nic::send_fragments(net::NodeId dst, net::Buffer payload,
     const Bytes off = static_cast<Bytes>(i) * mtu;
     const Bytes chunk = std::min<Bytes>(mtu, total - off);
     co_await fw_.consume(cm_.nic_tx_frag, trace_op, "nic/tx_frag");
-    if (charge_dma && chunk > 0) co_await dma_transfer(chunk, trace_op);
+    if (chunk > 0) co_await dma_transfer(chunk, trace_op);
 
     net::Packet p;
     p.src = node_id_;
     p.dst = dst;
-    p.proto = net::Proto::gm;
-    p.header_bytes = cm_.gm_header;
+    p.proto = gm ? net::Proto::gm : net::Proto::ethernet;
+    p.header_bytes = gm ? cm_.gm_header : cm_.eth_header;
     p.payload = total == 0 ? net::Buffer() : payload.slice(off, chunk);
     p.msg_id = msg_id;
     p.frag_index = i;
@@ -117,8 +117,7 @@ sim::Task<void> Nic::gm_send(net::NodeId dst, std::uint32_t port,
   ctrl.op = GmOp::data;
   ctrl.port = port;
   ctrl.user_tag = user_tag;
-  co_await send_fragments(dst, std::move(data), ctrl, /*charge_dma=*/true,
-                          trace_op);
+  co_await send_frames(dst, std::move(data), ctrl, trace_op);
 }
 
 sim::Task<Result<net::Buffer>> Nic::gm_get(net::NodeId dst, mem::Vaddr va,
@@ -172,16 +171,14 @@ sim::Task<Status> Nic::gm_put(net::NodeId dst, mem::Vaddr va,
   ctrl.cap = cap;
 
   if (!wait_ack) {
-    co_await send_fragments(dst, std::move(data), ctrl, /*charge_dma=*/true,
-                            trace_op);
+    co_await send_frames(dst, std::move(data), ctrl, trace_op);
     co_return Status::Ok();  // the ack, when it arrives, is ignored
   }
 
   auto op = std::make_unique<PendingOp>(eng_);
   auto* op_ptr = op.get();
   pending_.try_emplace(op_id, std::move(op));
-  co_await send_fragments(dst, std::move(data), ctrl, /*charge_dma=*/true,
-                          trace_op);
+  co_await send_frames(dst, std::move(data), ctrl, trace_op);
   co_return (co_await await_op(op_id, *op_ptr)).status();
 }
 
@@ -200,7 +197,8 @@ sim::Task<void> Nic::rx_loop() {
     const auto ctrl = p.ctrl.get<GmCtrl>();
     switch (ctrl.op) {
       case GmOp::data:
-        co_await handle_gm_data(std::move(p));
+      case GmOp::put_req:
+        co_await handle_gm_message(std::move(p));
         break;
       case GmOp::get_req:
         // Service asynchronously; the fw resource serialises actual work.
@@ -208,9 +206,6 @@ sim::Task<void> Nic::rx_loop() {
         break;
       case GmOp::get_reply:
         co_await handle_get_reply(std::move(p));
-        break;
-      case GmOp::put_req:
-        co_await handle_put_req(std::move(p));
         break;
       case GmOp::put_ack:
         handle_put_ack(std::move(p));
@@ -224,27 +219,30 @@ net::Buffer Nic::take_message(Reassembly& r) {
   return r.take();
 }
 
-sim::Task<void> Nic::handle_gm_data(net::Packet p) {
-  const auto ctrl = p.ctrl.get<GmCtrl>();
+sim::Task<void> Nic::handle_gm_message(net::Packet p) {
   const RxKey key{p.src, p.msg_id};
-  Reassembly& r = gm_rx_[key];
-  if (!r.admit(p)) co_return;  // duplicated fragment: already placed
+  Reassembly* r = &gm_rx_.try_emplace(key).first->value;
+  if (!r->admit(p)) co_return;  // duplicated fragment: already placed
   if (!p.payload.empty()) {
-    // into host receive buffer
+    // Each fragment is DMA'd towards host memory as it arrives, so the
+    // bulk transfer overlaps with reception of later fragments.
     co_await dma_transfer(p.payload.size(), p.trace_op);
-    r.place(static_cast<Bytes>(p.frag_index) * cm_.gm_mtu, p.payload);
+    r = &gm_rx_.find(key)->value;  // the slot may have moved meanwhile
+    r->place(static_cast<Bytes>(p.frag_index) * cm_.gm_mtu, p.payload);
   }
-  if (!r.complete()) co_return;
-
-  GmMessage msg;
-  msg.src = p.src;
-  msg.user_tag = ctrl.user_tag;
-  msg.data = take_message(r);
-  msg.trace_op = p.trace_op;
+  if (!r->complete()) co_return;
+  net::Buffer data = take_message(*r);
   gm_rx_.erase(key);
+
+  const auto ctrl = p.ctrl.get<GmCtrl>();
+  if (ctrl.op == GmOp::put_req) {
+    co_await apply_put(p, std::move(data));
+    co_return;
+  }
   obs::flow(fw_.trace_track(), p.trace_op, "gm_deliver", eng_.now());
   if (auto* port = ports_.find(ctrl.port)) {
-    (*port)->send(std::move(msg));
+    (*port)->send(GmMessage{p.src, ctrl.user_tag, std::move(data),
+                            p.trace_op});
   } else {
     ORDMA_LOG_ERROR("nic", "%s: GM message to closed port %u dropped",
                     host_.name().c_str(), ctrl.port);
@@ -270,9 +268,8 @@ void Nic::tlb_insert_pinned(const Segment& seg, mem::Vpn nic_vpn,
 
 void Nic::unpin_evicted(const NicTlb::Entry& e) { e.as->unpin(e.host_vpn); }
 
-sim::Task<Result<NicTlb::Entry>> Nic::tlb_load(Segment seg,
-                                               mem::Vpn nic_vpn,
-                                               obs::OpId trace_op) {
+sim::Task<Result<Translation>> Nic::tlb_load(Segment seg, mem::Vpn nic_vpn,
+                                             obs::OpId trace_op) {
   tlb_.count_miss();
   const mem::Vpn host_vpn =
       mem::page_of(seg.host_va) + (nic_vpn - mem::page_of(seg.nic_va));
@@ -297,7 +294,9 @@ sim::Task<Result<NicTlb::Entry>> Nic::tlb_load(Segment seg,
   // Revalidate after the delay: the segment may have been revoked while we
   // waited (the race the exception mechanism exists for), or a concurrent
   // miss for the same page may have loaded the entry already.
-  if (NicTlb::Entry* raced = tlb_.lookup(nic_vpn)) co_return *raced;
+  if (NicTlb::Entry* raced = tlb_.lookup(nic_vpn)) {
+    co_return raced->translation();
+  }
   const Segment* fresh = tpt_.segment_of_page(nic_vpn);
   if (!fresh || fresh->id != seg.id) co_return Errc::access_fault;
   const auto* pte2 = fresh->as->lookup(host_vpn);
@@ -306,10 +305,10 @@ sim::Task<Result<NicTlb::Entry>> Nic::tlb_load(Segment seg,
   tlb_insert_pinned(*fresh, nic_vpn, pte2->pfn);
   NicTlb::Entry* e = tlb_.lookup(nic_vpn);
   ORDMA_CHECK(e != nullptr);
-  co_return *e;
+  co_return e->translation();
 }
 
-sim::Task<Result<std::vector<Nic::PageRun>>> Nic::resolve_ordma(
+sim::Task<Result<Nic::OrdmaTarget>> Nic::resolve_ordma(
     mem::Vaddr va, Bytes len, const crypto::Capability& cap, bool write,
     obs::OpId trace_op) {
   if (len == 0) co_return Errc::invalid_argument;
@@ -361,9 +360,9 @@ sim::Task<Result<std::vector<Nic::PageRun>>> Nic::resolve_ordma(
     const std::uint64_t off = mem::page_offset(cur);
     const Bytes chunk = std::min<Bytes>(len - done, mem::kPageSize - off);
 
-    NicTlb::Entry e;
+    Translation t;
     if (const NicTlb::Entry* hit = tlb_.lookup(nic_vpn)) {
-      e = *hit;
+      t = hit->translation();
       co_await fw_.consume(cm_.nic_tlb_hit, trace_op, "nic/tlb_hit");
     } else {
       // Confirm the page still belongs to this segment, then take the miss.
@@ -371,49 +370,44 @@ sim::Task<Result<std::vector<Nic::PageRun>>> Nic::resolve_ordma(
       if (!owner || owner->id != seg.id) co_return Errc::access_fault;
       auto loaded = co_await tlb_load(*owner, nic_vpn, trace_op);
       if (!loaded.ok()) co_return loaded.status();
-      e = loaded.value();
+      t = loaded.value();
     }
 
     // Write permission is also enforced at the host page level.
     if (write) {
-      const auto* pte = e.as->lookup(e.host_vpn);
+      const auto* pte = t.as->lookup(t.host_vpn);
       if (!pte || !pte->writable) co_return Errc::access_fault;
     }
-    runs.push_back(PageRun{e.pfn, off, chunk});
+    runs.push_back(PageRun{t.pfn, off, chunk});
     done += chunk;
   }
-  co_return runs;
+
+  // The segment may have been revoked while this resolve waited (for the
+  // firmware or on a TLB miss); that is a fault too.
+  const Segment* live = tpt_.find_segment(seg.id);
+  if (!live) co_return Errc::access_fault;
+  co_return OrdmaTarget{live->as, std::move(runs)};
+}
+
+void Nic::reply_fault(const net::Packet& req, Errc fault) {
+  const auto ctrl = req.ctrl.get<GmCtrl>();
+  ++ordma_faults_;
+  host_.flight().record(eng_.now().ns, obs::flight::Ev::nic_ordma_fault,
+                        ctrl.op_id, static_cast<std::uint64_t>(fault));
+  GmCtrl reply;
+  reply.op = ctrl.op == GmOp::get_req ? GmOp::get_reply : GmOp::put_ack;
+  reply.op_id = ctrl.op_id;
+  reply.fault = fault;
+  send_ctrl_packet(req.src, reply, 0, req.trace_op);
 }
 
 sim::Task<void> Nic::service_get(net::Packet p) {
   const auto ctrl = p.ctrl.get<GmCtrl>();
   co_await fw_.consume(cm_.nic_get_service, p.trace_op, "nic/get_service");
-
-  auto runs = co_await resolve_ordma(ctrl.remote_va, ctrl.rdma_len, ctrl.cap,
-                                     /*write=*/false, p.trace_op);
-  GmCtrl reply;
-  reply.op = GmOp::get_reply;
-  reply.op_id = ctrl.op_id;
-
-  if (!runs.ok()) {
-    ++ordma_faults_;
-    host_.flight().record(eng_.now().ns, obs::flight::Ev::nic_ordma_fault,
-                          ctrl.op_id, static_cast<std::uint64_t>(runs.code()));
-    reply.fault = runs.code();
-    send_ctrl_packet(p.src, reply, 0, p.trace_op);
-    co_return;
-  }
-
-  // The segment may have been revoked while resolve awaited (TLB miss
-  // path); treat that as a fault too.
-  const Segment* seg = tpt_.find_segment(ctrl.cap.segment_id);
-  if (!seg) {
-    ++ordma_faults_;
-    host_.flight().record(eng_.now().ns, obs::flight::Ev::nic_ordma_fault,
-                          ctrl.op_id,
-                          static_cast<std::uint64_t>(Errc::access_fault));
-    reply.fault = Errc::access_fault;
-    send_ctrl_packet(p.src, reply, 0, p.trace_op);
+  auto target = co_await resolve_ordma(ctrl.remote_va, ctrl.rdma_len,
+                                       ctrl.cap, /*write=*/false, p.trace_op);
+  if (!target.ok()) {
+    reply_fault(p, target.code());
     co_return;
   }
 
@@ -422,37 +416,25 @@ sim::Task<void> Nic::service_get(net::Packet p) {
   net::Buffer data = net::Buffer::alloc(ctrl.rdma_len);
   const auto w = data.mutable_view();
   Bytes off = 0;
-  auto& phys = seg->as->phys();
-  for (const auto& run : runs.value()) {
+  auto& phys = target.value().as->phys();
+  for (const auto& run : target.value().runs) {
     phys.read(mem::frame_base(run.pfn) + run.offset,
               w.subspan(off, run.chunk));
     off += run.chunk;
   }
-  co_await send_fragments(p.src, std::move(data), reply,
-                          /*charge_dma=*/true, p.trace_op);
+  GmCtrl reply;
+  reply.op = GmOp::get_reply;
+  reply.op_id = ctrl.op_id;
+  co_await send_frames(p.src, std::move(data), reply, p.trace_op);
 }
 
-sim::Task<void> Nic::handle_put_req(net::Packet p) {
+sim::Task<void> Nic::apply_put(const net::Packet& p, net::Buffer data) {
   const auto ctrl = p.ctrl.get<GmCtrl>();
-  const RxKey key{p.src, p.msg_id};
-  Reassembly& r = gm_rx_[key];
-  if (!r.admit(p)) co_return;  // duplicated fragment: already placed
-  if (!p.payload.empty()) {
-    // Each fragment is DMA'd towards host memory as it arrives, so the
-    // bulk transfer overlaps with reception of later fragments.
-    co_await dma_transfer(p.payload.size(), p.trace_op);
-    r.place(static_cast<Bytes>(p.frag_index) * cm_.gm_mtu, p.payload);
-  }
-  if (!r.complete()) co_return;
-
-  net::Buffer data = take_message(r);
-  gm_rx_.erase(key);
-
-  // A duplicated frame arriving after the tracker above was erased would
-  // reassemble the whole message again (single-fragment puts trivially so)
-  // and re-apply stale bytes over whatever landed since. Drop replays of
-  // recently completed puts instead; the original's ack already answers
-  // the initiator.
+  // A duplicated frame arriving after the message's tracker was erased
+  // would reassemble the whole message again (single-fragment puts
+  // trivially so) and re-apply stale bytes over whatever landed since.
+  // Drop replays of recently completed puts instead; the original's ack
+  // already answers the initiator.
   const RxKey put_key{p.src, ctrl.op_id};
   if (put_done_.find(put_key) != nullptr) {
     ++put_dups_dropped_;
@@ -466,35 +448,18 @@ sim::Task<void> Nic::handle_put_req(net::Packet p) {
   }
 
   co_await fw_.consume(cm_.nic_put_service, p.trace_op, "nic/put_service");
-  auto runs = co_await resolve_ordma(ctrl.remote_va, data.size(), ctrl.cap,
-                                     /*write=*/true, p.trace_op);
-  GmCtrl reply;
-  reply.op = GmOp::put_ack;
-  reply.op_id = ctrl.op_id;
-  if (!runs.ok()) {
-    ++ordma_faults_;
-    host_.flight().record(eng_.now().ns, obs::flight::Ev::nic_ordma_fault,
-                          ctrl.op_id, static_cast<std::uint64_t>(runs.code()));
-    reply.fault = runs.code();
-    send_ctrl_packet(p.src, reply, 0, p.trace_op);
-    co_return;
-  }
-  const Segment* seg = tpt_.find_segment(ctrl.cap.segment_id);
-  if (!seg) {
-    ++ordma_faults_;
-    host_.flight().record(eng_.now().ns, obs::flight::Ev::nic_ordma_fault,
-                          ctrl.op_id,
-                          static_cast<std::uint64_t>(Errc::access_fault));
-    reply.fault = Errc::access_fault;
-    send_ctrl_packet(p.src, reply, 0, p.trace_op);
+  auto target = co_await resolve_ordma(ctrl.remote_va, data.size(), ctrl.cap,
+                                       /*write=*/true, p.trace_op);
+  if (!target.ok()) {
+    reply_fault(p, target.code());
     co_return;
   }
   ++ordma_served_;
   ++puts_served_;
   const auto dv = data.view();
   Bytes off = 0;
-  auto& phys = seg->as->phys();
-  for (const auto& run : runs.value()) {
+  auto& phys = target.value().as->phys();
+  for (const auto& run : target.value().runs) {
     phys.write(mem::frame_base(run.pfn) + run.offset,
                dv.subspan(off, run.chunk));
     off += run.chunk;
@@ -502,10 +467,13 @@ sim::Task<void> Nic::handle_put_req(net::Packet p) {
   // Remember what landed (checksummed during placement — no host CPU):
   // the server's put-commit handler verifies a client's claim against this
   // record instead of re-reading the data.
-  *last_put_.try_emplace(seg->id).first =
+  *last_put_.try_emplace(ctrl.cap.segment_id).first =
       PutRecord{p.src, ctrl.op_id, ctrl.remote_va, data.size(),
                 rpc::checksum32(dv)};
-  send_ctrl_packet(p.src, reply, 0, p.trace_op);
+  GmCtrl ack;
+  ack.op = GmOp::put_ack;
+  ack.op_id = ctrl.op_id;
+  send_ctrl_packet(p.src, ack, 0, p.trace_op);
 }
 
 sim::Task<void> Nic::handle_get_reply(net::Packet p) {
@@ -618,51 +586,20 @@ Result<crypto::Capability> Nic::capability_for(std::uint64_t seg_id) const {
 sim::Task<void> Nic::eth_send(net::NodeId dst, net::Buffer dgram,
                               std::uint32_t rddp_xid, Bytes rddp_data_offset,
                               Bytes rddp_data_len, obs::OpId trace_op) {
-  const std::uint64_t dgram_id = next_dgram_id_++;
-  const Bytes total = dgram.size();
-  const Bytes mtu = cm_.eth_mtu;
-  const std::uint32_t nfrags =
-      total == 0 ? 1 : static_cast<std::uint32_t>((total + mtu - 1) / mtu);
   // A receiver delivers the bytes in front of the bulk as the datagram's
   // headers (handle_eth), so nothing may follow the bulk.
   ORDMA_CHECK_MSG(rddp_data_len == 0 ||
-                      rddp_data_offset + rddp_data_len == total,
+                      rddp_data_offset + rddp_data_len == dgram.size(),
                   "RDDP bulk must end the datagram");
-
   obs::flow(fw_.trace_track(), trace_op, "eth_send", eng_.now());
-  for (std::uint32_t i = 0; i < nfrags; ++i) {
-    const Bytes off = static_cast<Bytes>(i) * mtu;
-    const Bytes chunk = std::min<Bytes>(mtu, total - off);
-    co_await fw_.consume(cm_.nic_tx_frag, trace_op, "nic/tx_frag");
-    if (chunk > 0) co_await dma_transfer(chunk, trace_op);
-
-    EthCtrl ctrl;
-    ctrl.dgram_id = dgram_id;
-    ctrl.dgram_total = total;
-    ctrl.frag_offset = off;
-    ctrl.rddp_xid = rddp_xid;
-    ctrl.rddp_data_offset = rddp_data_offset;
-    ctrl.rddp_data_len = rddp_data_len;
-
-    net::Packet p;
-    p.src = node_id_;
-    p.dst = dst;
-    p.proto = net::Proto::ethernet;
-    p.header_bytes = cm_.eth_header;
-    p.payload = total == 0 ? net::Buffer() : dgram.slice(off, chunk);
-    p.msg_id = dgram_id;
-    p.frag_index = i;
-    p.frag_count = nfrags;
-    p.msg_total = total;
-    p.ctrl = ctrl;
-    p.trace_op = trace_op;
-    fabric_.send(std::move(p));
-  }
+  co_await send_frames(dst, std::move(dgram),
+                       EthCtrl{rddp_xid, rddp_data_offset, rddp_data_len},
+                       trace_op);
 }
 
 void Nic::prepost(std::uint32_t xid, mem::AddressSpace& as, mem::Vaddr va,
                   Bytes len) {
-  preposts_[xid] = PrepostEntry{&as, va, len};
+  *preposts_.try_emplace(xid).first = PrepostEntry{&as, va, len};
 }
 
 void Nic::cancel_prepost(std::uint32_t xid) { preposts_.erase(xid); }
@@ -670,25 +607,27 @@ void Nic::cancel_prepost(std::uint32_t xid) { preposts_.erase(xid); }
 sim::Task<void> Nic::handle_eth(net::Packet p) {
   const auto ctrl = p.ctrl.get<EthCtrl>();
   const RxKey key{p.src, p.msg_id};
+  // OpenMap slots move, so the entry is found again after every await.
+  auto rx = [this, &key] { return &eth_rx_.find(key)->value; };
   auto [slot, first] = eth_rx_.try_emplace(key);
-  EthReassembly& r = slot->second;
+  EthReassembly* r = &slot->value;
   if (first) {
-    r.rddp_xid = ctrl.rddp_xid;
-    r.rddp_data_len = ctrl.rddp_data_len;
+    r->rddp_xid = ctrl.rddp_xid;
+    r->rddp_data_len = ctrl.rddp_data_len;
     // Header splitting is active iff a matching buffer was pre-posted.
     if (ctrl.rddp_xid != 0 && ctrl.rddp_data_len > 0) {
-      auto it = preposts_.find(ctrl.rddp_xid);
-      if (it != preposts_.end() && it->second.len >= ctrl.rddp_data_len) {
-        r.rddp_active = true;
+      const PrepostEntry* pp = preposts_.find(ctrl.rddp_xid);
+      if (pp != nullptr && pp->len >= ctrl.rddp_data_len) {
+        r->rddp_active = true;
       }
     }
   }
-  if (!r.rx.admit(p)) co_return;  // duplicated fragment: already accounted
+  if (!r->rx.admit(p)) co_return;  // duplicated fragment: already accounted
 
   if (!p.payload.empty()) {
-    const Bytes frag_start = ctrl.frag_offset;
+    const Bytes frag_start = static_cast<Bytes>(p.frag_index) * cm_.eth_mtu;
     const Bytes frag_end = frag_start + p.payload.size();
-    if (r.rddp_active) {
+    if (r->rddp_active) {
       // Split the fragment where the bulk data starts: the head (headers)
       // goes to the host stack, the body (data, which runs to the end of
       // the datagram — eth_send checks) to the pre-posted buffer.
@@ -696,7 +635,8 @@ sim::Task<void> Nic::handle_eth(net::Packet p) {
       if (data_start > frag_start) {
         const Bytes n = std::min(frag_end, data_start) - frag_start;
         co_await dma_transfer(n, p.trace_op);
-        r.rx.place(frag_start, p.payload.slice(0, n));
+        r = rx();
+        r->rx.place(frag_start, p.payload.slice(0, n));
       }
       const Bytes body_start = std::max(frag_start, data_start);
       if (frag_end > body_start) {
@@ -704,38 +644,40 @@ sim::Task<void> Nic::handle_eth(net::Packet p) {
         const net::Buffer body =
             p.payload.slice(body_start - frag_start, n);
         co_await dma_transfer(n, p.trace_op);  // placement into user buffer
-        auto pit = preposts_.find(ctrl.rddp_xid);
-        if (pit == preposts_.end()) {
+        r = rx();
+        const PrepostEntry* pp = preposts_.find(ctrl.rddp_xid);
+        if (pp == nullptr) {
           // The caller cancelled the prepost mid-reassembly (gave up on
           // this attempt). Stop splitting: the datagram completes inline
           // with holes where already-placed bytes went, and the end-to-end
           // RPC checksum rejects it.
-          r.rddp_active = false;
-          r.rx.place(body_start, body);
+          r->rddp_active = false;
+          r->rx.place(body_start, body);
         } else {
-          const Status st = pit->second.as->write(
-              pit->second.va + (body_start - data_start), body.view());
+          const Status st =
+              pp->as->write(pp->va + (body_start - data_start), body.view());
           ORDMA_CHECK_MSG(st.ok(), "pre-posted buffer not writable");
         }
       }
     } else {
       co_await dma_transfer(p.payload.size(), p.trace_op);
-      r.rx.place(frag_start, p.payload);
+      r = rx();
+      r->rx.place(frag_start, p.payload);
     }
   }
-  if (!r.rx.complete()) co_return;
+  if (!r->rx.complete()) co_return;
 
   EthDatagram d;
   d.src = p.src;
   d.trace_op = p.trace_op;
-  d.rddp_xid = r.rddp_xid;
-  d.rddp_placed = r.rddp_active;
-  d.rddp_data_len = r.rddp_active ? r.rddp_data_len : 0;
-  d.data = take_message(r.rx);
-  if (r.rddp_active) {
-    preposts_.erase(r.rddp_xid);
+  d.rddp_xid = r->rddp_xid;
+  d.rddp_placed = r->rddp_active;
+  d.rddp_data_len = r->rddp_active ? r->rddp_data_len : 0;
+  d.data = take_message(r->rx);
+  if (r->rddp_active) {
+    preposts_.erase(r->rddp_xid);
     // Deliver only the header bytes (the payload was placed directly).
-    d.data = d.data.slice(0, p.msg_total - r.rddp_data_len);
+    d.data = d.data.slice(0, p.msg_total - r->rddp_data_len);
   }
   eth_rx_.erase(key);
   eth_pending_.push_back(std::move(d));

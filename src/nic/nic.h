@@ -20,7 +20,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/open_map.h"
@@ -227,9 +226,11 @@ class Nic {
 
   // --- firmware processes -------------------------------------------------
   sim::Task<void> rx_loop();
-  sim::Task<void> handle_gm_data(net::Packet p);
+  // GM data messages and put data: one reassembly, then delivery to the
+  // message's port or apply_put.
+  sim::Task<void> handle_gm_message(net::Packet p);
+  sim::Task<void> apply_put(const net::Packet& p, net::Buffer data);
   sim::Task<void> service_get(net::Packet p);
-  sim::Task<void> handle_put_req(net::Packet p);
   sim::Task<void> handle_get_reply(net::Packet p);
   void handle_put_ack(net::Packet p);
   sim::Task<void> handle_eth(net::Packet p);
@@ -240,31 +241,41 @@ class Nic {
   // Charge the doorbell cost (plus any injected stall).
   sim::Task<void> ring_doorbell(obs::OpId trace_op);
 
-  // Send the fragments of one GM message/reply. `make_ctrl` customises the
-  // control word per message.
-  sim::Task<void> send_fragments(net::NodeId dst, net::Buffer payload,
-                                 GmCtrl ctrl, bool charge_dma,
-                                 obs::OpId trace_op = 0);
+  // Put one message on the wire as frames of its protocol's MTU, each
+  // charged the firmware's transmit cost and its DMA out of host memory.
+  // The control word rides on every frame; its type (GmCtrl or EthCtrl)
+  // names the protocol.
+  sim::Task<void> send_frames(net::NodeId dst, net::Buffer payload,
+                              net::CtrlAny ctrl, obs::OpId trace_op);
   void send_ctrl_packet(net::NodeId dst, GmCtrl ctrl, Bytes extra_bytes = 0,
                         obs::OpId trace_op = 0);
+  // Answer a get or put request the target refused with the recoverable
+  // exception of §4.1.
+  void reply_fault(const net::Packet& req, Errc fault);
 
-  // Resolve all pages of [va, va+len) for an ORDMA access. On success fills
-  // `frames` with (pfn, offset-in-page, chunk) triples; returns Errc
-  // describing the first fault otherwise. Charges TLB costs on fw_.
+  // Resolve all pages of [va, va+len) for an ORDMA access: the segment's
+  // address space and, per page, (pfn, offset-in-page, chunk). Fails with
+  // the first fault, including a segment revoked while the resolve waited.
+  // Charges TLB costs on fw_.
   struct PageRun {
     mem::Pfn pfn;
     std::uint64_t offset;
     Bytes chunk;
   };
-  sim::Task<Result<std::vector<PageRun>>> resolve_ordma(
-      mem::Vaddr va, Bytes len, const crypto::Capability& cap, bool write,
-      obs::OpId trace_op = 0);
+  struct OrdmaTarget {
+    mem::AddressSpace* as = nullptr;
+    std::vector<PageRun> runs;
+  };
+  sim::Task<Result<OrdmaTarget>> resolve_ordma(mem::Vaddr va, Bytes len,
+                                               const crypto::Capability& cap,
+                                               bool write,
+                                               obs::OpId trace_op = 0);
 
   // Load a TPT translation into the TLB (miss path: host interrupt + PIO).
   // Takes and returns copies: the TPT and TLB slots may go during the
   // miss penalty's wait.
-  sim::Task<Result<NicTlb::Entry>> tlb_load(Segment seg, mem::Vpn nic_vpn,
-                                            obs::OpId trace_op = 0);
+  sim::Task<Result<Translation>> tlb_load(Segment seg, mem::Vpn nic_vpn,
+                                          obs::OpId trace_op = 0);
   void tlb_insert_pinned(const Segment& seg, mem::Vpn nic_vpn, mem::Pfn pfn);
   void unpin_evicted(const NicTlb::Entry& e);
 
@@ -289,17 +300,11 @@ class Nic {
   std::uint32_t next_port_ = 1024;
   PageTable<std::unique_ptr<PendingOp>> pending_;  // by op id
   std::uint64_t next_op_id_ = 1;
-  std::uint64_t next_msg_id_ = 1;
+  std::uint64_t next_msg_id_ = 1;  // GM and Ethernet messages alike
   struct RxKey {
     net::NodeId src;
     std::uint64_t msg_id;
     bool operator==(const RxKey&) const = default;
-  };
-  struct RxKeyHash {
-    std::size_t operator()(const RxKey& k) const {
-      return std::hash<std::uint64_t>()((std::uint64_t(k.src) << 48) ^
-                                        k.msg_id);
-    }
   };
   struct RxKeyTraits {  // OpenMap: no frame comes from kInvalidNode
     static RxKey empty() { return {net::kInvalidNode, 0}; }
@@ -308,7 +313,7 @@ class Nic {
     }
   };
   // Inbound GM messages and put data being reassembled.
-  std::unordered_map<RxKey, Reassembly, RxKeyHash> gm_rx_;
+  OpenMap<RxKey, Reassembly, RxKeyTraits> gm_rx_;
 
   // Export
   Tpt tpt_;
@@ -319,11 +324,10 @@ class Nic {
 
   // Ethernet
   EthSink eth_sink_;
-  std::unordered_map<RxKey, EthReassembly, RxKeyHash> eth_rx_;
-  std::unordered_map<std::uint32_t, PrepostEntry> preposts_;
+  OpenMap<RxKey, EthReassembly, RxKeyTraits> eth_rx_;
+  PageTable<PrepostEntry> preposts_;  // by RPC xid
   std::deque<EthDatagram> eth_pending_;
   bool eth_intr_pending_ = false;
-  std::uint64_t next_dgram_id_ = 1;
 
   fault::FaultInjector* faults_ = nullptr;
 

@@ -57,6 +57,14 @@ class Tpt {
   PageTable<std::uint64_t> page_to_seg_;  // NIC vpn → segment id
 };
 
+// What a TLB entry maps a NIC page to, as a plain value an ORDMA access
+// keeps while it waits (the entry itself may be evicted meanwhile).
+struct Translation {
+  mem::Pfn pfn = 0;
+  mem::AddressSpace* as = nullptr;
+  mem::Vpn host_vpn = 0;
+};
+
 // Bounded TLB with LRU replacement. Entries cache the physical frame so the
 // NIC can DMA without touching host page tables; insertion pins the host
 // page, eviction unpins it (done by the Nic, which owns the pin calls).
@@ -68,6 +76,8 @@ class NicTlb {
     std::uint64_t seg_id = 0;
     mem::AddressSpace* as = nullptr;
     mem::Vpn host_vpn = 0;
+
+    Translation translation() const { return {pfn, as, host_vpn}; }
   };
 
   explicit NicTlb(std::size_t capacity) : capacity_(capacity) {}

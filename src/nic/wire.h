@@ -41,11 +41,9 @@ struct GmCtrl {
   Errc fault = Errc::ok;
 };
 
+// Fragments carry no offset: a receiver places fragment i at i × eth_mtu
+// (i × gm_mtu for GM), so both ends use one MTU.
 struct EthCtrl {
-  std::uint64_t dgram_id = 0;
-  Bytes dgram_total = 0;     // datagram payload bytes overall
-  Bytes frag_offset = 0;     // this fragment's offset within the datagram
-
   // RDDP-RPC framing (zero when not in use): the RPC transaction this
   // datagram answers and the offset where bulk data starts. A pre-posting
   // NIC uses these to split headers from payload and place the payload

@@ -1,8 +1,10 @@
 #include "obs/cli.h"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string_view>
 
 #include "common/log.h"
@@ -125,13 +127,17 @@ ObsSession::ObsSession(int& argc, char** argv) {
     install(recorder_.get());
   }
   if (!sample_arg.empty()) {
-    // --sample-traces=<file>[:N]: N is the reservoir period, a
-    // non-negative integer.
+    // --sample-traces=<file>[:N]: N is the reservoir period, an integer
+    // in [0, UINT32_MAX].
     TraceSampler::Config cfg;
     trace_path_ = split_suffix(sample_arg, [&](const std::string& tail) {
       char* end = nullptr;
+      errno = 0;
       const long n = std::strtol(tail.c_str(), &end, 10);
-      if (end == tail.c_str() || *end != '\0' || n < 0) return false;
+      if (end == tail.c_str() || *end != '\0' || errno == ERANGE || n < 0 ||
+          n > std::numeric_limits<std::uint32_t>::max()) {
+        return false;
+      }
       cfg.reservoir_n = static_cast<std::uint32_t>(n);
       return true;
     });

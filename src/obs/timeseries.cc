@@ -153,7 +153,6 @@ TimeseriesSampler::TimeseriesSampler(sim::Engine& eng, MetricsRegistry& reg,
                                      TimeseriesConfig cfg)
     : eng_(eng), reg_(reg), cfg_(cfg) {
   ORDMA_CHECK(cfg_.interval.ns > 0);
-  if (cfg_.max_windows == 0) cfg_.max_windows = 1;
   // Window 0 starts at the grid boundary at or before arming; its delta
   // absorbs everything the run did before the sampler existed (the cursor
   // baselines start at zero), so window sums always equal run totals.
@@ -171,7 +170,7 @@ void TimeseriesSampler::hook(void* self) {
 void TimeseriesSampler::sample_window() {
   reg_.delta_snapshot(cursor_, scratch_);
   const std::size_t w = windows_;
-  const std::size_t cap = cfg_.max_windows;
+  const std::size_t cap = kMaxWindows;
   for (const MetricsRegistry::Delta& d : scratch_) {
     auto it = cols_.find(*d.path);
     if (it == cols_.end()) {
@@ -219,19 +218,10 @@ void TimeseriesSampler::finish() {
            c.kind == MetricsRegistry::Kind::cumulative_gauge;
   };
   const Column* key = nullptr;
-  if (!cfg_.phase_series.empty()) {
-    auto it = cols_.find(cfg_.phase_series);
-    if (it != cols_.end()) {
-      key = &it->second;
-      phase_key_ = it->first;
-    }
-  }
-  if (!key) {
-    auto it = cols_.find("server/cpu/busy_us");
-    if (it != cols_.end() && usable(it->second)) {
-      key = &it->second;
-      phase_key_ = it->first;
-    }
+  if (auto it = cols_.find("server/cpu/busy_us");
+      it != cols_.end() && usable(it->second)) {
+    key = &it->second;
+    phase_key_ = it->first;
   }
   if (!key) {
     for (const auto& [name, c] : cols_) {
@@ -280,7 +270,7 @@ double TimeseriesSampler::col_value(const Column& c,
   if (w < c.first || ring.empty()) return 0.0;
   const std::size_t l = w - c.first;
   const std::size_t idx =
-      ring.size() == cfg_.max_windows ? l % cfg_.max_windows : l;
+      ring.size() == kMaxWindows ? l % kMaxWindows : l;
   if (idx >= ring.size()) return 0.0;
   return ring[idx];
 }

@@ -91,13 +91,6 @@ std::vector<PhaseSegment> summarize_phases(const std::vector<double>& v);
 
 struct TimeseriesConfig {
   Duration interval = msec(1);
-  // Ring capacity per series, reserved up front: with more than
-  // `max_windows` windows the oldest are dropped (and counted) so steady
-  // state never reallocates however long the run.
-  std::size_t max_windows = 4096;
-  // Key series for the phase report; "" picks "server/cpu/busy_us" when
-  // present, else the first delta-kind series in path order.
-  std::string phase_series;
 };
 
 // "500us", "2ms", "1s", "250000ns" or a bare nanosecond count; false for
@@ -110,6 +103,11 @@ bool parse_duration(const std::string& s, Duration* out);
 // partition run totals exactly) and computes the phase report.
 class TimeseriesSampler {
  public:
+  // Ring capacity per series, reserved up front: with more than
+  // kMaxWindows windows the oldest are dropped (and counted) so steady
+  // state never reallocates however long the run.
+  static constexpr std::size_t kMaxWindows = 4096;
+
   TimeseriesSampler(sim::Engine& eng, MetricsRegistry& reg,
                     TimeseriesConfig cfg = {});
   ~TimeseriesSampler();  // disarms the hook
@@ -145,12 +143,14 @@ class TimeseriesSampler {
 
   std::size_t windows() const { return windows_; }
   std::size_t dropped_windows() const {
-    return windows_ > cfg_.max_windows ? windows_ - cfg_.max_windows : 0;
+    return windows_ > kMaxWindows ? windows_ - kMaxWindows : 0;
   }
   // Value of series `path` in (absolute) window w; 0 before the series
   // existed. For histograms, the delta event count.
   double value(const std::string& path, std::size_t w) const;
   const std::vector<PhaseSegment>& phases() const { return phases_; }
+  // The phase report's key series: "server/cpu/busy_us" when present,
+  // else the first delta-kind series in path order.
   const std::string& phase_series() const { return phase_key_; }
 
   // One `ordma.timeseries.v1` document / CSV block for this run.

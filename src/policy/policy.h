@@ -66,8 +66,6 @@ struct PolicyConfig {
   // mechanism (0 disables exploration — estimates can go stale).
   unsigned explore_every = 64;
 
-  // Consult the engine for the write arm too (else only reads adapt).
-  bool adapt_writes = true;
   // Let the engine pick the write-back arm. Off by default: write-back
   // changes durability semantics (dirty data survives in the client until
   // flush/sync), so callers opt in explicitly.
@@ -98,7 +96,8 @@ class PolicyEngine {
   PolicyEngine(const PolicyConfig& cfg, const obs::OpSignals* signals);
 
   bool enabled() const { return cfg_.enabled; }
-  bool adapts_writes() const { return cfg_.enabled && cfg_.adapt_writes; }
+  // An enabled engine picks the write arm as well as the read mechanism.
+  bool adapts_writes() const { return cfg_.enabled; }
   bool may_write_back() const {
     return adapts_writes() && cfg_.allow_write_back;
   }

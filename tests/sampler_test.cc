@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/assert.h"
@@ -14,6 +16,7 @@
 #include "core/cluster.h"
 #include "core/file_client.h"
 #include "fault/fault.h"
+#include "obs/cli.h"
 #include "obs/sampler.h"
 #include "obs/trace.h"
 
@@ -270,6 +273,40 @@ TEST(Sampler, SamplingIsReproducible) {
   EXPECT_EQ(sampler_a.ops_kept(), sampler_b.ops_kept());
   EXPECT_EQ(sampler_a.events_kept(), sampler_b.events_kept());
   EXPECT_EQ(rec_a.event_count(), rec_b.event_count());
+}
+
+// `--sample-traces=<file>:N` takes N only when it fits the sampler's 32-bit
+// period; otherwise, like any suffix the parser refuses, the whole argument
+// names the trace file. Returns what the written file's name has past
+// <file>.
+std::string sampled_trace_file(const std::string& arg) {
+  const std::string file = ::testing::TempDir() + "ordma_sample_cli.json";
+  std::string flag = "--sample-traces=" + file + arg;
+  char prog[] = "sampler_test";
+  char* argv[] = {prog, flag.data(), nullptr};
+  int argc = 2;
+  for (const std::string& f : {file, file + arg}) std::remove(f.c_str());
+  {
+    obs::ObsSession session(argc, argv);
+    EXPECT_EQ(argc, 1);
+  }
+  std::string wrote = "(no file)";
+  for (const std::string& f : {file, file + arg}) {
+    if (std::FILE* fp = std::fopen(f.c_str(), "r")) {
+      std::fclose(fp);
+      std::remove(f.c_str());
+      wrote = f.substr(file.size());
+    }
+  }
+  return wrote;
+}
+
+TEST(Sampler, SampleTracesFlagRefusesAPeriodPastUint32) {
+  EXPECT_EQ(sampled_trace_file(":4294967295"), "");  // UINT32_MAX: a period
+  EXPECT_EQ(sampled_trace_file(":4294967296"), ":4294967296");
+  EXPECT_EQ(sampled_trace_file(":4294967297"), ":4294967297");
+  EXPECT_EQ(sampled_trace_file(":99999999999999999999"),
+            ":99999999999999999999");  // past long: ERANGE
 }
 
 }  // namespace

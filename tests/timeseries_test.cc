@@ -289,21 +289,24 @@ TEST(TimeseriesSampler, RingKeepsNewestWindowsAndCountsDropped) {
   sim::Engine eng;
   MetricsRegistry reg;
   auto& ops = reg.counter("app/ops");
-  for (int i = 0; i < 10; ++i) {
-    eng.schedule_fn(usec(10 * i + 5), [&ops] { ops.inc(); });
+  constexpr std::size_t kCap = obs::ts::TimeseriesSampler::kMaxWindows;
+  constexpr std::size_t kWindows = kCap + 6;
+  for (std::size_t i = 0; i < kWindows; ++i) {
+    eng.schedule_fn(usec(10 * static_cast<std::int64_t>(i) + 5),
+                    [&ops] { ops.inc(); });
   }
   obs::ts::TimeseriesConfig cfg;
   cfg.interval = usec(10);
-  cfg.max_windows = 4;
   obs::ts::TimeseriesSampler s(eng, reg, cfg);
-  eng.run();  // events at 5,15,...,95us: one per window
+  eng.run();  // events at 5,15,25,...us: one per window
   s.finish();
 
-  // Boundaries 10..90 (9 windows) + trailing partial = 10; capacity 4.
-  ASSERT_EQ(s.windows(), 10u);
+  // kWindows - 1 boundaries + the trailing partial window; the ring keeps
+  // the newest kCap.
+  ASSERT_EQ(s.windows(), kWindows);
   EXPECT_EQ(s.dropped_windows(), 6u);
-  for (std::size_t w = 6; w < 10; ++w) {
-    EXPECT_EQ(s.value("app/ops", w), 1.0) << "window " << w;
+  for (std::size_t w = 6; w < kWindows; ++w) {
+    ASSERT_EQ(s.value("app/ops", w), 1.0) << "window " << w;
   }
 }
 
@@ -322,7 +325,6 @@ TEST(TimeseriesSampler, JsonDocumentCarriesGridSeriesAndPhases) {
   }
   obs::ts::TimeseriesConfig cfg;
   cfg.interval = usec(20);
-  cfg.phase_series = "app/ops";
   obs::ts::TimeseriesSampler s(eng, reg, cfg);
   eng.run();
   std::ostringstream os;

@@ -243,7 +243,8 @@ TEST(WireFuzz, StructRoundTrips) {
 
 TEST(WireFuzz, WritePathStructsRoundTrip) {
   // The ORDMA write-path messages: put-commit args, server→client
-  // invalidations, and version-carrying piggybacked references.
+  // invalidations, and piggybacked reference records with and without
+  // the commit version.
   Rng rng(0x9412ull);
   for (int iter = 0; iter < 100; ++iter) {
     nas::PutCommitArgs p;
@@ -259,7 +260,7 @@ TEST(WireFuzz, WritePathStructsRoundTrip) {
     m.fbn = rng.below(~std::uint64_t{0});
     m.version = rng.below(~std::uint64_t{0});
 
-    nas::VersionedRef v;
+    nas::RefRecord v;
     v.fbn = rng.below(~std::uint64_t{0});
     v.version = rng.below(~std::uint64_t{0});
     v.ref.seg_id = rng.below(~std::uint64_t{0});
@@ -275,13 +276,15 @@ TEST(WireFuzz, WritePathStructsRoundTrip) {
     XdrEncoder enc;
     nas::encode_put_commit(enc, p);
     nas::encode_invalidate(enc, m);
-    nas::encode_versioned_ref(enc, v);
+    nas::encode_ref_record(enc, v, /*versioned=*/true);
+    nas::encode_ref_record(enc, v, /*versioned=*/false);
     const auto bytes = enc.take();
 
     XdrDecoder dec(bytes);
     const nas::PutCommitArgs p2 = nas::decode_put_commit(dec);
     const nas::InvalidateMsg m2 = nas::decode_invalidate(dec);
-    const nas::VersionedRef v2 = nas::decode_versioned_ref(dec);
+    const nas::RefRecord v2 = nas::decode_ref_record(dec, true);
+    const nas::RefRecord v3 = nas::decode_ref_record(dec, false);
     ASSERT_TRUE(dec.ok());
     EXPECT_EQ(dec.remaining(), 0u);
     EXPECT_EQ(p2.fh, p.fh);
@@ -304,6 +307,17 @@ TEST(WireFuzz, WritePathStructsRoundTrip) {
     EXPECT_EQ(v2.ref.cap.perm, v.ref.cap.perm);
     EXPECT_EQ(v2.ref.cap.generation, v.ref.cap.generation);
     EXPECT_EQ(v2.ref.cap.mac, v.ref.cap.mac);
+    EXPECT_EQ(v3.fbn, v.fbn);
+    EXPECT_EQ(v3.version, 0u);  // not on the wire
+    EXPECT_EQ(v3.ref.seg_id, v.ref.seg_id);
+    EXPECT_EQ(v3.ref.va, v.ref.va);
+    EXPECT_EQ(v3.ref.len, v.ref.len);
+    EXPECT_EQ(v3.ref.cap.segment_id, v.ref.cap.segment_id);
+    EXPECT_EQ(v3.ref.cap.base, v.ref.cap.base);
+    EXPECT_EQ(v3.ref.cap.length, v.ref.cap.length);
+    EXPECT_EQ(v3.ref.cap.perm, v.ref.cap.perm);
+    EXPECT_EQ(v3.ref.cap.generation, v.ref.cap.generation);
+    EXPECT_EQ(v3.ref.cap.mac, v.ref.cap.mac);
 
     // Truncation: every strict prefix of the concatenation must end with
     // ok()==false when replayed through the same decode sequence.
@@ -311,7 +325,8 @@ TEST(WireFuzz, WritePathStructsRoundTrip) {
       XdrDecoder cutdec(std::span<const std::byte>(bytes.data(), cut));
       (void)nas::decode_put_commit(cutdec);
       (void)nas::decode_invalidate(cutdec);
-      (void)nas::decode_versioned_ref(cutdec);
+      (void)nas::decode_ref_record(cutdec, true);
+      (void)nas::decode_ref_record(cutdec, false);
       EXPECT_FALSE(cutdec.ok()) << "prefix " << cut << " decoded complete";
     }
   }
@@ -336,8 +351,13 @@ TEST(WireFuzz, WritePathDecodersSurviveCorruptBytes) {
     }
     {
       XdrDecoder dec(junk);
-      (void)nas::decode_versioned_ref(dec);
+      (void)nas::decode_ref_record(dec, /*versioned=*/true);
       if (junk.size() < 80) { EXPECT_FALSE(dec.ok()); }
+    }
+    {
+      XdrDecoder dec(junk);
+      (void)nas::decode_ref_record(dec, /*versioned=*/false);
+      if (junk.size() < 72) { EXPECT_FALSE(dec.ok()); }
     }
   }
 }
